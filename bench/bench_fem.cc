@@ -1,12 +1,13 @@
 // FEM substrate scaling: the costs behind the figures' analyses.
 //
-// Measures static assembly+solve vs element count (the n * bw^2 banded
-// cost), the thermal stepper vs step count, and stress recovery — so the
+// Measures static assembly+solve vs element count (the profile-bound
+// envelope cost), the thermal stepper vs step count, and stress recovery — so the
 // end-to-end analysis-chain times in bench_contours decompose cleanly.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
 
+#include "fem/skyline.h"
 #include "fem/solver.h"
 #include "fem/stress.h"
 #include "fem/thermal.h"
@@ -46,12 +47,12 @@ fem::StaticProblem clamp_and_pull(const mesh::TriMesh& m, int nx, int ny) {
 void print_report() {
   std::printf("==== FEM substrate scaling ====\n");
   std::printf("%-12s %8s %8s %12s\n", "mesh", "dofs", "dof bw",
-              "band doubles");
+              "env doubles");
   for (int nx : {16, 32, 64, 128}) {
     const int ny = 4;
     const mesh::TriMesh m = strip(nx, ny);
     const fem::StaticProblem prob = clamp_and_pull(m, nx, ny);
-    const fem::BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+    const fem::SkylineMatrix k(prob.dof_skyline_lows());
     std::printf("%4dx%-7d %8d %8d %12zu\n", nx, ny, prob.num_dofs(),
                 prob.dof_half_bandwidth(), k.storage());
   }

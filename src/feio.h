@@ -11,7 +11,7 @@
 #include "cards/format.h"     // IWYU pragma: export
 #include "feio/api.h"         // IWYU pragma: export
 #include "fem/assembly.h"     // IWYU pragma: export
-#include "fem/banded.h"       // IWYU pragma: export
+#include "fem/skyline.h"      // IWYU pragma: export
 #include "fem/contact.h"      // IWYU pragma: export
 #include "fem/element.h"      // IWYU pragma: export
 #include "fem/material.h"     // IWYU pragma: export

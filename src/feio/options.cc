@@ -225,14 +225,10 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
   }
   if (matches_flag(a, "--storage")) {
     const char* value = flag_value(a, "--storage", argc, argv, i);
+    // Accepted and ignored for one release: every solve runs the one
+    // envelope kernel. Bad values still fail, so scripts notice typos.
     const std::string_view v = value == nullptr ? "" : value;
-    if (v == "auto") {
-      opts.solver_storage = SolverStorage::kAuto;
-    } else if (v == "banded") {
-      opts.solver_storage = SolverStorage::kBanded;
-    } else if (v == "skyline") {
-      opts.solver_storage = SolverStorage::kSkyline;
-    } else {
+    if (v != "auto" && v != "banded" && v != "skyline") {
       error = "--storage expects auto, banded or skyline";
       return FlagStatus::kError;
     }
@@ -262,7 +258,6 @@ RunOptions run_options(const CommonOptions& opts) {
   RunOptions ro;
   ro.tracer = opts.tracer;
   ro.metrics = opts.metrics;
-  ro.solver_storage = opts.solver_storage;
   ro.ordering = opts.ordering;
   return ro;
 }
@@ -286,7 +281,6 @@ serve::ServeOptions serve_options(const CommonOptions& opts) {
         static_cast<int>(std::min<long long>(opts.cache_factors, 1 << 20));
   }
   if (opts.factor_ttl_ms >= 0) so.factor_ttl_ms = opts.factor_ttl_ms;
-  so.solver_storage = opts.solver_storage;
   so.ordering = opts.ordering;
   if (opts.window_jobs >= 0) {
     so.window_jobs =

@@ -148,9 +148,8 @@ FactorKey factor_key(const StaticProblem& problem) {
           hash_operator(problem)};
 }
 
-std::uint64_t factor_config(SolverStorage storage, OrderingChoice ordering) {
-  return (static_cast<std::uint64_t>(storage) << 8) |
-         static_cast<std::uint64_t>(ordering);
+std::uint64_t factor_config(OrderingChoice ordering) {
+  return static_cast<std::uint64_t>(ordering);
 }
 
 std::uint64_t loads_key(const StaticProblem& problem) {

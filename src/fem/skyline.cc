@@ -1,7 +1,7 @@
 #include "fem/skyline.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -10,10 +10,43 @@
 #include "util/fault.h"
 #include "util/guard.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace feio::fem {
+namespace {
+
+// y[x] += (c_t[x] * f[t]) * d[t] for every x in [0, len), adding the terms
+// t = 0, 1, ... one at a time in that order, where column c_t = c + t *
+// stride. Four terms per pass, so y is loaded and stored once per four;
+// the loop over x is contiguous, and the compiler vectorizes it without
+// reassociating any sum.
+void add_scaled_columns(double* __restrict y, std::ptrdiff_t len,
+                        const double* c, std::ptrdiff_t stride,
+                        const double* f, const double* d, int terms) {
+  int t = 0;
+  for (; t + 4 <= terms; t += 4) {
+    const double* c0 = c + t * stride;
+    const double* c1 = c0 + stride;
+    const double* c2 = c1 + stride;
+    const double* c3 = c2 + stride;
+    const double f0 = f[t], f1 = f[t + 1], f2 = f[t + 2], f3 = f[t + 3];
+    const double d0 = d[t], d1 = d[t + 1], d2 = d[t + 2], d3 = d[t + 3];
+    for (std::ptrdiff_t x = 0; x < len; ++x) {
+      double v = y[x];
+      v += c0[x] * f0 * d0;
+      v += c1[x] * f1 * d1;
+      v += c2[x] * f2 * d2;
+      v += c3[x] * f3 * d3;
+      y[x] = v;
+    }
+  }
+  for (; t < terms; ++t) {
+    const double* ct = c + t * stride;
+    for (std::ptrdiff_t x = 0; x < len; ++x) y[x] += ct[x] * f[t] * d[t];
+  }
+}
+
+}  // namespace
 
 SkylineMatrix::SkylineMatrix(std::vector<int> column_lows)
     : n_(static_cast<int>(column_lows.size())), low_(std::move(column_lows)) {
@@ -29,8 +62,8 @@ SkylineMatrix::SkylineMatrix(std::vector<int> column_lows)
     max_height_ = std::max(max_height_, i - lo + 1);
   }
   start_[static_cast<std::size_t>(n_)] = entries;
-  // Same guard discipline as the banded ctor: bound the one big allocation
-  // before it happens, through the overflow-checked byte estimate.
+  // Bound the one big allocation of the solve before it happens, through
+  // the overflow-checked byte estimate.
   util::guard_check_factor_bytes(util::checked_skyline_bytes(entries),
                                  "skyline factor storage bytes");
   FEIO_FAULT("fem.alloc");
@@ -71,7 +104,7 @@ void SkylineMatrix::apply_dirichlet(int i, double value,
   FEIO_ASSERT(static_cast<int>(rhs.size()) == n_);
   // Row part (j < i): the stored columns of row i. Column part (j > i):
   // rows whose envelope reaches back to column i; any such row j has
-  // j - low_j < max_height_, so the scan is bounded like the banded one.
+  // j - low_j < max_height_, so the scan is bounded by the tallest column.
   const int lo = low_[static_cast<std::size_t>(i)];
   const int hi = std::min(n_ - 1, i + max_height_ - 1);
   for (int j = lo; j <= hi; ++j) {
@@ -110,7 +143,9 @@ void SkylineMatrix::factorize() {
   FEIO_TRACE_SPAN(span, "fem.factorize");
   span.arg("n", n_);
   span.arg("profile", static_cast<std::int64_t>(sky_.size()));
-  // Same relative pivot tolerance as the banded path.
+  // Pivot tolerance relative to the matrix scale: a pivot this small means
+  // the system is singular to working precision (usually a structure with
+  // an unconstrained rigid-body mode).
   double max_diag = 0.0;
   for (int j = 0; j < n_; ++j) max_diag = std::max(max_diag, slot(j, j));
   const double tol = 1e-12 * std::max(max_diag, 1e-300);
@@ -149,10 +184,10 @@ void SkylineMatrix::factorize() {
     return;
   }
 
-  // Blocked right-looking factorization in column panels of width B, the
-  // skyline analogue of the banded pbtrf-style path. The panel width comes
-  // from the mean column height (the profile analogue of hbw/2), clamped
-  // like the banded B — structure-only, so the partition is fixed.
+  // Blocked right-looking factorization in column panels of width B. The
+  // panel width comes from the mean column height (the profile analogue of
+  // a band's hbw/2), clamped to [8, 64] — structure-only, so the partition
+  // is fixed.
   const auto mean_height =
       static_cast<int>(static_cast<std::int64_t>(sky_.size()) / n_);
   const int B = std::max(8, std::min(64, mean_height / 2));
@@ -170,80 +205,90 @@ void SkylineMatrix::factorize() {
     }
   }
 
+  // Panel scratch: the panel's columns of L, rows p0..p1-1 and then the
+  // candidate rows, copied column-major (block[(k - p0) * height + x]) with
+  // zeros where k is left of a row's envelope. At most B x (B +
+  // max_height) doubles.
+  std::vector<double> block;
+  std::vector<double> acc;
+  double diag[64];  // the panel's D (B <= 64)
+  double f[64];     // per-column factors of one add_scaled_columns call
+
   for (int p = 0; p < num_panels; ++p) {
     FEIO_CHECK_CANCEL("fem.factorize.panel");
     FEIO_FAULT("fem.factorize.panel");
     const int p0 = p * B;
     const int p1 = std::min(n_, p0 + B);
     FEIO_METRIC_ADD("fem.factorize.panels", 1);
+    const std::vector<int>& rows = rows_by_panel[static_cast<std::size_t>(p)];
+    const auto nrows = static_cast<std::ptrdiff_t>(rows.size());
+    const std::ptrdiff_t w = p1 - p0;
+    const std::ptrdiff_t height = w + nrows;
+    const auto row = [&](std::ptrdiff_t x) {
+      return x < w ? p0 + static_cast<int>(x)
+                   : rows[static_cast<std::size_t>(x - w)];
+    };
+    const auto col = [&](int k) { return block.data() + (k - p0) * height; };
 
-    // Phase 1: diagonal block, serial. Contributions from columns < p0
-    // were already applied by earlier panels' trailing updates.
-    for (int j = p0; j < p1; ++j) {
-      const int lo_j = low_[static_cast<std::size_t>(j)];
-      double d = slot(j, j);
-      for (int k = std::max(p0, lo_j); k < j; ++k) {
-        const double ljk = slot(j, k);
-        d -= ljk * ljk * slot(k, k);
+    // Visits the stored entries of block row x as (block slot, matrix
+    // slot) pairs: from the row's envelope start (or p0) to its diagonal
+    // for a panel row, or to p1 - 1 for a candidate row.
+    const auto stored = [&](std::ptrdiff_t x, auto&& visit) {
+      const int i = row(x);
+      const int last = x < w ? i : p1 - 1;
+      for (int k = std::max(p0, low_[static_cast<std::size_t>(i)]); k <= last;
+           ++k) {
+        visit(col(k)[x], slot(i, k));
       }
-      pivot_check(d, j);
-      slot(j, j) = d;
-
-      for (int i = j + 1; i < p1; ++i) {
-        const int lo_i = low_[static_cast<std::size_t>(i)];
-        if (j < lo_i) continue;
-        double lij = slot(i, j);
-        for (int k = std::max({p0, lo_i, lo_j}); k < j; ++k) {
-          lij -= slot(i, k) * slot(j, k) * slot(k, k);
-        }
-        slot(i, j) = lij / d;
-      }
+    };
+    block.assign(static_cast<std::size_t>(w * height), 0.0);
+    for (std::ptrdiff_t x = 0; x < height; ++x) {
+      stored(x, [](double& b, double a) { b = a; });
     }
 
-    const std::vector<int>& rows = rows_by_panel[static_cast<std::size_t>(p)];
-    const int nrows = static_cast<int>(rows.size());
-    if (nrows == 0) continue;
+    // Phases 1 and 2: the panel's columns, left to right. Column j takes
+    // its contributions from columns [p0, j) — those from columns < p0
+    // came with earlier panels' trailing updates — over its diagonal and
+    // every row below it, as one contiguous loop; then the pivot check and
+    // the division by d_j. Every entry still sums (l_ik * l_jk) * d_k over
+    // k ascending: adding the product of -l_jk is the same IEEE operation
+    // as subtracting that of l_jk, and a padded zero gives a ±0 term, which
+    // leaves the running value unchanged and only ever precedes the
+    // entry's real terms. So the factor bytes are those of the per-entry
+    // loop.
+    for (int j = p0; j < p1; ++j) {
+      const std::ptrdiff_t x0 = j - p0;
+      const int k0 = std::max(p0, low_[static_cast<std::size_t>(j)]);
+      for (int k = k0; k < j; ++k) f[k - p0] = -col(k)[x0];
+      double* lj = col(j);
+      add_scaled_columns(lj + x0, height - x0, col(k0) + x0, height,
+                         &f[k0 - p0], &diag[k0 - p0], j - k0);
+      const double d = lj[x0];
+      pivot_check(d, j);
+      diag[x0] = d;
+      for (std::ptrdiff_t x = x0 + 1; x < height; ++x) lj[x] /= d;
+    }
+    for (std::ptrdiff_t x = 0; x < height; ++x) {
+      stored(x, [](double b, double& a) { a = b; });
+    }
 
-    // Phase 2: off-diagonal block row solve, one independent row per item.
-    util::parallel_chunks(
-        nrows, util::chunk_count(nrows, 0),
-        [&](int /*chunk*/, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t r = begin; r < end; ++r) {
-            const int i = rows[static_cast<std::size_t>(r)];
-            const int lo_i = low_[static_cast<std::size_t>(i)];
-            for (int j = std::max(p0, lo_i); j < p1; ++j) {
-              const int lo_j = low_[static_cast<std::size_t>(j)];
-              double lij = slot(i, j);
-              for (int k = std::max({p0, lo_i, lo_j}); k < j; ++k) {
-                lij -= slot(i, k) * slot(j, k) * slot(k, k);
-              }
-              slot(i, j) = lij / slot(j, j);
-            }
-          }
-        });
-
-    // Phase 3: symmetric trailing update. Every affected (i, j) pair has
-    // both rows in the candidate list (their envelopes reach the panel),
-    // j >= low_i is guaranteed by low_i < p1 <= j, and partitioning by
-    // column j gives each entry exactly one writer. Update sums run over k
-    // ascending within the fixed panel, mirroring the banded phase 3.
-    util::parallel_chunks(
-        nrows, util::chunk_count(nrows, 0),
-        [&](int /*chunk*/, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t c = begin; c < end; ++c) {
-            const int j = rows[static_cast<std::size_t>(c)];
-            const int lo_j = low_[static_cast<std::size_t>(j)];
-            for (int r = static_cast<int>(c); r < nrows; ++r) {
-              const int i = rows[static_cast<std::size_t>(r)];
-              const int lo_i = low_[static_cast<std::size_t>(i)];
-              double acc = 0.0;
-              for (int k = std::max({p0, lo_i, lo_j}); k < p1; ++k) {
-                acc += slot(i, k) * slot(j, k) * slot(k, k);
-              }
-              slot(i, j) -= acc;
-            }
-          }
-        });
+    // Phase 3: symmetric trailing update, one candidate row i at a time
+    // against every candidate column j <= i (both envelopes reach the
+    // panel, so j >= low_i is guaranteed by low_i < p1 <= j). The sum for
+    // (i, j) starts at 0 and adds (l_jk * l_ik) * d_k over k ascending —
+    // IEEE products commute, so this is the same value term by term.
+    for (std::ptrdiff_t r = 0; r < nrows; ++r) {
+      const int i = rows[static_cast<std::size_t>(r)];
+      const int k0 = std::max(p0, low_[static_cast<std::size_t>(i)]);
+      for (int k = k0; k < p1; ++k) f[k - p0] = col(k)[w + r];
+      acc.assign(static_cast<std::size_t>(r + 1), 0.0);
+      add_scaled_columns(acc.data(), r + 1, col(k0) + w, height, &f[k0 - p0],
+                         &diag[k0 - p0], p1 - k0);
+      for (std::ptrdiff_t c = 0; c <= r; ++c) {
+        slot(i, rows[static_cast<std::size_t>(c)]) -=
+            acc[static_cast<std::size_t>(c)];
+      }
+    }
   }
   factorized_ = true;
 }

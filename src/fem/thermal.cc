@@ -1,9 +1,10 @@
 #include "fem/thermal.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
+#include "fem/skyline.h"
+#include "mesh/bandwidth.h"
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -36,19 +37,10 @@ std::vector<std::vector<double>> ThermalProblem::integrate(
   span.arg("nodes", mesh_->num_nodes());
 
   const int n = mesh_->num_nodes();
-  int node_bw = 0;
-  for (const mesh::Element& el : mesh_->elements()) {
-    for (int i = 0; i < 3; ++i) {
-      for (int j = i + 1; j < 3; ++j) {
-        node_bw = std::max(node_bw, std::abs(el.n[static_cast<size_t>(i)] -
-                                             el.n[static_cast<size_t>(j)]));
-      }
-    }
-  }
 
-  // System matrix A = C/dt + K (constant over the run) and the lumped
-  // capacitance diagonal.
-  BandedMatrix a(n, node_bw);
+  // System matrix A = C/dt + K (constant over the run) on the mesh's node
+  // envelope, and the lumped capacitance diagonal.
+  SkylineMatrix a(mesh::lowest_neighbours(*mesh_));
   std::vector<double> cap(static_cast<size_t>(n), 0.0);
   for (int e = 0; e < mesh_->num_elements(); ++e) {
     const ThermalElement te = thermal_matrices(

@@ -19,9 +19,8 @@ int bandwidth(const TriMesh& mesh) {
   return bw;
 }
 
-long profile(const TriMesh& mesh) {
-  // lowest_nbr[i]: smallest node index coupled to i (including i itself).
-  std::vector<int> lowest(static_cast<size_t>(mesh.num_nodes()), 0);
+std::vector<int> lowest_neighbours(const TriMesh& mesh) {
+  std::vector<int> lowest(static_cast<size_t>(mesh.num_nodes()));
   for (int i = 0; i < mesh.num_nodes(); ++i) lowest[static_cast<size_t>(i)] = i;
   for (const Element& el : mesh.elements()) {
     const int lo = std::min({el.n[0], el.n[1], el.n[2]});
@@ -29,6 +28,11 @@ long profile(const TriMesh& mesh) {
       lowest[static_cast<size_t>(n)] = std::min(lowest[static_cast<size_t>(n)], lo);
     }
   }
+  return lowest;
+}
+
+long profile(const TriMesh& mesh) {
+  const std::vector<int> lowest = lowest_neighbours(mesh);
   long p = 0;
   for (int i = 0; i < mesh.num_nodes(); ++i) {
     // Column height including the diagonal: a row coupled only to itself

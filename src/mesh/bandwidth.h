@@ -5,6 +5,8 @@
 // scheme". These helpers compute the quantities that scheme minimizes.
 #pragma once
 
+#include <vector>
+
 #include "mesh/tri_mesh.h"
 
 namespace feio::mesh {
@@ -14,12 +16,16 @@ namespace feio::mesh {
 // without elements.
 int bandwidth(const TriMesh& mesh);
 
+// lowest[i]: the smallest node index sharing an element with node i, or i
+// itself when no lower-numbered node couples in — the row envelope of any
+// one-value-per-node matrix assembled over the mesh.
+std::vector<int> lowest_neighbours(const TriMesh& mesh);
+
 // Sum over rows of the column height `i - lowest(i) + 1` — the diagonal is
 // included, so this is the exact entry count of a skyline/envelope factor
 // in node terms (the storage the fem skyline path allocates, times 2x2 dof
 // blocks). Historically this sum excluded the diagonal and under-counted by
-// num_nodes; fill predictors comparing it against banded storage must use
-// the true column-height sum.
+// num_nodes.
 long profile(const TriMesh& mesh);
 
 }  // namespace feio::mesh

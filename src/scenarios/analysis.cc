@@ -19,7 +19,7 @@ using idlz::IdlzCase;
 using idlz::IdlzResult;
 
 IdlzResult idealize(IdlzCase c) {
-  c.options.renumber_nodes = true;  // narrow band for the banded solver
+  c.options.renumber_nodes = true;  // narrow envelope for the solver
   return idlz::run(c);
 }
 

@@ -17,6 +17,7 @@
 #include "mesh/bandwidth.h"
 #include "scenarios/pipeline_bench.h"
 #include "util/diag.h"
+#include "util/guard.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/report.h"
@@ -28,10 +29,9 @@ using Clock = std::chrono::steady_clock;
 
 // Cells over these caps are reported as skipped instead of run: a
 // pathological ordering (Hilbert on a long anisotropic domain) pushes the
-// half-bandwidth — or the envelope itself — toward n, and timing a
-// hundred-gigabyte or hours-of-flops factor teaches nothing the byte
-// counts don't already say. The flop model is n * (hbw+1)^2 for the band
-// and the exact sum of squared column heights for the skyline.
+// envelope toward n, and timing a hundred-gigabyte or hours-of-flops
+// factor teaches nothing the byte counts don't already say. The flop model
+// is the exact sum of squared column heights.
 constexpr std::int64_t kStorageBytesCap = std::int64_t{2} << 30;
 constexpr std::int64_t kFlopsCapQuick = 200'000'000;        // ~0.1 s
 constexpr std::int64_t kFlopsCapFull = 25'000'000'000;      // ~15 s
@@ -39,17 +39,6 @@ constexpr std::int64_t kFlopsCapFull = 25'000'000'000;      // ~15 s
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-template <typename Fn>
-double time_min_ms(int reps, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const Clock::time_point start = Clock::now();
-    fn();
-    best = std::min(best, ms_since(start));
-  }
-  return best;
 }
 
 // Bit-exact fingerprint of a double vector: two runs are byte-identical
@@ -81,12 +70,12 @@ mesh::TriMesh strip_mesh(int k_cells, int l_cells, int subs) {
   return std::move(a.mesh);
 }
 
-// The Fig. 9-class geometry the skyline path exists for: a 64-cell-wide
+// The Fig. 9-class geometry envelope storage exists for: a 64-cell-wide
 // plate, solid for `rim` cell rows at the bottom and top, with two big
 // rectangular slots between leaving three 4-cell-wide vertical webs. Most
 // node rows hold only the 15 web nodes (short skyline columns), while the
-// full-width rim rows pin the banded half-bandwidth near the plate width —
-// the band pays the worst row everywhere, the envelope only where it must.
+// full-width rim rows pin the half-bandwidth near the plate width — a band
+// would pay the worst row everywhere, the envelope only where it must.
 // Nodes are emitted row-major (y outer, x ascending), unit cells.
 mesh::TriMesh plate_with_holes(int rows) {
   constexpr int kWidth = 64;  // cells across
@@ -146,10 +135,8 @@ std::vector<BenchMesh> bench_meshes(bool quick) {
     meshes.push_back({"strip32x312", strip_mesh(32, 312, 8)});
     meshes.push_back({"strip48x400", strip_mesh(48, 400, 8)});
     meshes.push_back({"plate_holes1000", plate_with_holes(1000)});
-    // ~990k dofs: the "up to 10^6" point. The banded factor here is ~1 GB
-    // and ~18e9 flops under none/RCM — just inside the caps, so the 2x
-    // claim is measured at full scale; the Hilbert cells (band and
-    // envelope both pathological on this anisotropic domain) skip.
+    // ~990k dofs: the "up to 10^6" point; the Hilbert cells (envelope
+    // pathological on this anisotropic domain) skip.
     meshes.push_back({"plate_holes33000", plate_with_holes(33000)});
   }
   return meshes;
@@ -185,24 +172,29 @@ struct Measurement {
 };
 
 // `work` must be a pure function of the process-default thread count and
-// return a bit-exact fingerprint of its result.
+// return a bit-exact fingerprint of its result. Each arm runs once untimed
+// (warm-up + fingerprint); then the timed runs alternate serial and
+// parallel, so a change in the host's speed during the cell hits both
+// arms alike. Each arm reports its fastest run.
 template <typename Fn>
 Measurement measure(int reps, int threads, Fn&& work) {
-  Measurement m;
-  std::string serial_fp;
-  std::string parallel_fp;
-  {
-    util::ScopedThreads guard(1);
-    serial_fp = work();  // warm-up + fingerprint
-    m.serial_ms = time_min_ms(reps, [&] { work(); });
+  const int arm_threads[2] = {1, threads};
+  std::string fingerprint[2];
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  for (int arm = 0; arm < 2; ++arm) {
+    util::ScopedThreads guard(arm_threads[arm]);
+    fingerprint[arm] = work();
   }
-  {
-    util::ScopedThreads guard(threads);
-    parallel_fp = work();
-    m.parallel_ms = time_min_ms(reps, [&] { work(); });
+  for (int r = 0; r < reps; ++r) {
+    for (int arm = 0; arm < 2; ++arm) {
+      util::ScopedThreads guard(arm_threads[arm]);
+      const Clock::time_point start = Clock::now();
+      work();
+      best[arm] = std::min(best[arm], ms_since(start));
+    }
   }
-  m.identical = serial_fp == parallel_fp;
-  return m;
+  return {best[0], best[1], fingerprint[0] == fingerprint[1]};
 }
 
 const char* ordering_name(feio::OrderingChoice o) {
@@ -232,7 +224,7 @@ std::string SolverBenchReport::render_json() const {
   out << std::fixed;
   out << "{\n";
   out << report_header_json("bench");
-  out << "  \"payload_schema\": \"feio.bench.solver/2\",\n";
+  out << "  \"payload_schema\": \"feio.bench.solver/3\",\n";
   out << "  \"hardware_threads\": " << hardware_threads << ",\n";
   out << "  \"threads\": " << threads << ",\n";
   out << "  \"repetitions\": " << repetitions << ",\n";
@@ -246,8 +238,6 @@ std::string SolverBenchReport::render_json() const {
     out << "    {\"name\": \"" << json_escape(c.name) << "\", \"stage\": \""
         << json_escape(c.stage) << "\", \"mesh\": \"" << json_escape(c.mesh)
         << "\", \"ordering\": \"" << json_escape(c.ordering)
-        << "\", \"storage\": \"" << json_escape(c.storage)
-        << "\", \"auto_storage\": \"" << json_escape(c.auto_storage)
         << "\", \"n\": " << c.n << ", \"half_bandwidth\": " << c.half_bandwidth
         << ", \"node_bw\": " << c.node_bw
         << ", \"band_bytes\": " << c.band_bytes
@@ -272,7 +262,7 @@ std::string SolverBenchReport::render_table() const {
   std::ostringstream out;
   out << "bench_solver: " << threads << " threads (" << hardware_threads
       << " hardware), min of " << repetitions << " reps\n";
-  out << "  case                                            n   hbw   auto"
+  out << "  case                                            n   hbw"
          "     serial ms  parallel ms  speedup  identical\n";
   for (const SolverBenchCase& c : cases) {
     out << "  " << c.name;
@@ -280,21 +270,17 @@ std::string SolverBenchReport::render_table() const {
     if (c.skipped) {
       char row[120];
       std::snprintf(row, sizeof row,
-                    "%9d %5d  %-7s  skipped (%s over harness cap; "
-                    "%lld bytes)\n",
-                    c.n, c.half_bandwidth, c.auto_storage.c_str(),
-                    c.storage.c_str(),
-                    static_cast<long long>(c.storage == "banded"
-                                               ? c.band_bytes
-                                               : c.skyline_bytes));
+                    "%9d %5d  skipped (over harness cap; %lld bytes)\n",
+                    c.n, c.half_bandwidth,
+                    static_cast<long long>(c.skyline_bytes));
       out << row;
       continue;
     }
     char row[120];
     std::snprintf(row, sizeof row,
-                  "%9d %5d  %-7s %10.3f  %11.3f  %6.2fx  %s\n", c.n,
-                  c.half_bandwidth, c.auto_storage.c_str(), c.serial_ms,
-                  c.parallel_ms, c.speedup, c.identical ? "yes" : "NO");
+                  "%9d %5d %10.3f  %11.3f  %6.2fx  %s\n", c.n,
+                  c.half_bandwidth, c.serial_ms, c.parallel_ms, c.speedup,
+                  c.identical ? "yes" : "NO");
     out << row;
   }
   return out.str();
@@ -305,7 +291,7 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
   report.hardware_threads = util::hardware_threads();
   report.threads = threads <= 0 ? report.hardware_threads : threads;
   report.quick = quick;
-  report.repetitions = quick ? 2 : 3;
+  report.repetitions = quick ? 3 : 5;
 
   const feio::OrderingChoice orderings[] = {feio::OrderingChoice::kNone,
                                             feio::OrderingChoice::kRcm,
@@ -320,119 +306,77 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
         m.renumber_nodes(idlz::hilbert_permutation(m));
       }
       const fem::StaticProblem prob = make_problem(m);
-      const fem::StoragePrediction pred = fem::predict_storage(prob);
       const int n = prob.num_dofs();
       const int hbw = prob.dof_half_bandwidth();
       const int node_bw = mesh::bandwidth(m);
       const char* oname = ordering_name(ordering);
-      const char* auto_name = pred.use_skyline ? "skyline" : "banded";
-      // Big systems repeat once: the factor dominates and the min-of-reps
+      // Big systems repeat twice: the factor dominates and the min-of-reps
       // guard matters less than the wall-clock budget.
-      const int reps = n > 200000 ? 1 : report.repetitions;
+      const int reps = n > 200000 ? 2 : report.repetitions;
 
-      auto push = [&](const char* stage, const char* storage,
-                      const Measurement& meas, bool skipped) {
+      const std::vector<int> lows = prob.dof_skyline_lows();
+      std::int64_t entries = 0;
+      std::int64_t flops = 0;
+      for (int i = 0; i < n; ++i) {
+        const std::int64_t h = i - lows[static_cast<std::size_t>(i)] + 1;
+        entries += h;
+        flops += h * h;
+      }
+      const std::int64_t skyline_bytes = util::checked_skyline_bytes(entries);
+      const bool fits = skyline_bytes <= kStorageBytesCap &&
+                        flops <= (quick ? kFlopsCapQuick : kFlopsCapFull);
+
+      auto push = [&](const char* stage, const Measurement& meas) {
         SolverBenchCase c;
-        c.name = std::string(stage) + "/" + bm.tag + "/" + oname + "/" +
-                 storage;
+        c.name = std::string(stage) + "/" + bm.tag + "/" + oname;
         c.stage = stage;
         c.mesh = bm.tag;
         c.ordering = oname;
-        c.storage = storage;
-        c.auto_storage = auto_name;
         c.n = n;
         c.half_bandwidth = hbw;
         c.node_bw = node_bw;
-        c.band_bytes = pred.band_bytes;
-        c.skyline_bytes = pred.skyline_bytes;
+        c.band_bytes = util::checked_factor_bytes(n, hbw);
+        c.skyline_bytes = skyline_bytes;
         c.serial_ms = meas.serial_ms;
         c.parallel_ms = meas.parallel_ms;
-        c.speedup = skipped ? 0.0
-                            : meas.serial_ms /
-                                  std::max(meas.parallel_ms, 1e-9);
-        c.identical = skipped ? true : meas.identical;
-        c.skipped = skipped;
+        c.speedup = fits ? meas.serial_ms / std::max(meas.parallel_ms, 1e-9)
+                         : 0.0;
+        c.identical = fits ? meas.identical : true;
+        c.skipped = !fits;
         report.cases.push_back(std::move(c));
       };
-
-      const std::int64_t flops_cap = quick ? kFlopsCapQuick : kFlopsCapFull;
-      const std::int64_t band_flops =
-          static_cast<std::int64_t>(n) * (hbw + 1) * (hbw + 1);
-      const bool band_fits =
-          pred.band_bytes <= kStorageBytesCap && band_flops <= flops_cap;
-
-      const std::vector<int> lows = prob.dof_skyline_lows();
-      std::int64_t sky_flops = 0;
-      for (int i = 0; i < n; ++i) {
-        const std::int64_t h = i - lows[static_cast<std::size_t>(i)] + 1;
-        sky_flops += h * h;
+      if (!fits) {
+        push("assemble", {});
+        push("factor_solve", {});
+        continue;
       }
-      const bool sky_fits =
-          pred.skyline_bytes <= kStorageBytesCap && sky_flops <= flops_cap;
 
-      // Stage 1: parallel element assembly into each storage. The skyline
-      // envelope comes from the problem's exact dof column lows.
-      if (band_fits) {
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::BandedMatrix k(n, hbw);
-          std::vector<double> rhs;
-          prob.assemble(k, rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("assemble", "banded", meas, false);
-      } else {
-        push("assemble", "banded", {}, true);
-      }
-      if (sky_fits) {
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::SkylineMatrix k(lows);
-          std::vector<double> rhs;
-          prob.assemble(k, rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("assemble", "skyline", meas, false);
-      } else {
-        push("assemble", "skyline", {}, true);
-      }
+      // Stage 1: parallel element assembly into the envelope.
+      push("assemble", measure(reps, report.threads, [&] {
+             fem::SkylineMatrix k(lows);
+             std::vector<double> rhs;
+             prob.assemble(k, rhs);
+             return bits_fingerprint(rhs);
+           }));
 
       // Stage 2: blocked factorize + solve. Assembly runs outside the
       // timed lambda: each rep factorizes a fresh copy.
-      if (band_fits) {
-        fem::BandedMatrix k0(n, hbw);
-        std::vector<double> rhs0;
-        prob.assemble(k0, rhs0);
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::BandedMatrix k = k0;
-          std::vector<double> rhs = rhs0;
-          k.factorize();
-          k.solve(rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("factor_solve", "banded", meas, false);
-      } else {
-        push("factor_solve", "banded", {}, true);
-      }
-      if (sky_fits) {
-        fem::SkylineMatrix k0(lows);
-        std::vector<double> rhs0;
-        prob.assemble(k0, rhs0);
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::SkylineMatrix k = k0;
-          std::vector<double> rhs = rhs0;
-          k.factorize();
-          k.solve(rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("factor_solve", "skyline", meas, false);
-      } else {
-        push("factor_solve", "skyline", {}, true);
-      }
+      fem::SkylineMatrix k0(lows);
+      std::vector<double> rhs0;
+      prob.assemble(k0, rhs0);
+      push("factor_solve", measure(reps, report.threads, [&] {
+             fem::SkylineMatrix k = k0;
+             std::vector<double> rhs = rhs0;
+             k.factorize();
+             k.solve(rhs);
+             return bits_fingerprint(rhs);
+           }));
     }
   }
 
-  // One metered kAuto solve of the plate mesh outside the timed loops
-  // supplies the metrics snapshot: the fem.solver.storage.* selection
-  // counters, fem.factorize.panels, fem.static_solves, parallel.*.
+  // One metered solve of the plate mesh outside the timed loops supplies
+  // the metrics snapshot: fem.factorize.panels, fem.static_solves,
+  // parallel.*.
   {
     const mesh::TriMesh m = quick ? plate_with_holes(96) : plate_with_holes(400);
     util::MetricsRegistry metrics;

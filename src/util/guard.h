@@ -6,7 +6,7 @@
 //   1. Pre-run admission (serve, CLI front ends): the admit_* helpers take
 //      cheaply measurable job properties (deck cards/bytes) and return the
 //      rejection Diag without throwing — the job is never started.
-//   2. In-run guards (assembler node numbering, FEM dof count, banded
+//   2. In-run guards (assembler node numbering, FEM dof count, envelope
 //      factor storage): a ScopedGuard installs the limits thread-locally
 //      (inherited across parallel chunks like the cancel token), and the
 //      guard_check_* helpers throw util::ResourceError at the first point
@@ -39,7 +39,7 @@ struct GuardLimits {
   std::int64_t max_deck_cards = 0;    // 0 = unlimited
   std::int64_t max_deck_bytes = 0;
   std::int64_t max_dofs = 0;          // nodes (IDLZ/OSPL) or dofs (FEM)
-  std::int64_t max_factor_bytes = 0;  // banded factor storage estimate
+  std::int64_t max_factor_bytes = 0;  // envelope factor bytes
 
   // The serve loop's defaults: roomy for real decks, tight enough that a
   // hostile job cannot allocate the machine away (docs/ROBUSTNESS.md).
@@ -99,14 +99,15 @@ void guard_check_factor_bytes(std::int64_t bytes, std::string_view what);
 // arithmetic. Saturates to INT64_MAX on overflow so a configured
 // max_factor_bytes limit always trips instead of wrapping — call-site
 // estimates in narrower intermediate types (int, unsigned) silently went
-// negative or small past 2^31 bytes and sailed through the guard. Every
-// guard_check_factor_bytes caller must build its estimate with this.
+// negative or small past 2^31 bytes and sailed through the guard. The
+// solver bench reports it as the band storage the envelope replaces.
 std::int64_t checked_factor_bytes(std::int64_t n, std::int64_t half_bandwidth);
 
 // The byte size of a skyline factor with `entries` stored doubles (the
 // column-height sum): entries * sizeof(double) in the same saturating
 // int64 arithmetic as checked_factor_bytes, so huge envelopes trip
-// E-RES-003 instead of wrapping.
+// E-RES-003 instead of wrapping. Every guard_check_factor_bytes caller
+// must build its estimate with one of these two helpers.
 std::int64_t checked_skyline_bytes(std::int64_t entries);
 
 }  // namespace feio::util

@@ -3,17 +3,19 @@
 // stiffness LRU (fem/factor_cache.h) with its bit-identity contract, and
 // the overflow-safe factor-byte estimate that guards huge bands
 // (util::checked_factor_bytes, E-RES-003).
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cards/format_cache.h"
 #include "fem/assembly.h"
-#include "fem/banded.h"
+#include "fem/skyline.h"
 #include "fem/factor_cache.h"
 #include "fem/material.h"
 #include "fem/solver.h"
@@ -177,14 +179,18 @@ TEST(CheckedFactorBytesTest, SaturatesInsteadOfWrapping) {
 }
 
 TEST(CheckedFactorBytesTest, GuardTripsOnBandPastInt32Bytes) {
-  // 300000 dofs at half-bandwidth 999 needs 300000 * 1000 * 8 = 2.4e9
-  // bytes — past 2^31, where a 32-bit byte estimate would have wrapped and
+  // 300000 dofs in a half-bandwidth-999 envelope need about
+  // 300000 * 1000 * 8 = 2.4e9 bytes — past 2^31, where a 32-bit byte estimate would have wrapped and
   // sailed under the limit. The guard must trip (E-RES-003), not allocate.
   util::GuardLimits limits;
   limits.max_factor_bytes = std::int64_t{1} << 30;  // 1 GiB
   util::ScopedGuard guard(&limits);
   try {
-    fem::BandedMatrix k(300000, 999);
+    std::vector<int> lows(300000);
+    for (int i = 0; i < 300000; ++i) {
+      lows[static_cast<size_t>(i)] = std::max(0, i - 999);
+    }
+    fem::SkylineMatrix k(std::move(lows));
     FAIL() << "guard did not trip on a 2.4 GB band";
   } catch (const ResourceError& e) {
     EXPECT_EQ(e.code(), "E-RES-003");
@@ -405,7 +411,7 @@ TEST(FactorCacheTest, FailedSolveDoesNotPoisonCache) {
 // A minimal live entry: a factorized 1x1 identity. The TTL tests only
 // exercise slot lifetimes, not the solve contract.
 std::shared_ptr<const fem::FactorEntry> tiny_entry() {
-  fem::BandedMatrix k(1, 0);
+  fem::SkylineMatrix k({0});
   k.set(0, 0, 1.0);
   k.factorize();
   fem::FactorEntry e{std::move(k), {}, 0};

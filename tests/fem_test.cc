@@ -442,7 +442,7 @@ TEST(AssemblyTest, PressureTotalForcePlane) {
   prob.set_material(Material::isotropic(1.0, 0.0));
   prob.fix(2, true, true);
   prob.edge_pressure(0, 1, 7.0);  // length 2, left normal +y
-  BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+  SkylineMatrix k(prob.dof_skyline_lows());
   std::vector<double> rhs;
   prob.assemble(k, rhs);
   // Total applied force = p * L * t = 42, all in +y, split evenly.
@@ -461,7 +461,7 @@ TEST(AssemblyTest, AxisymPressureWeightsByRadius) {
   prob.set_material(Material::isotropic(1.0, 0.0));
   prob.fix(2, true, true);
   prob.edge_pressure(0, 1, 1.0);
-  BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+  SkylineMatrix k(prob.dof_skyline_lows());
   std::vector<double> rhs;
   prob.assemble(k, rhs);
   // Total force = p * 2*pi*rbar * L = 2*pi*2*2; the outer node gets more.
@@ -476,7 +476,7 @@ TEST(AssemblyTest, NoConstraintsThrows) {
   m.add_node({0, 1});
   m.add_element(0, 1, 2);
   StaticProblem prob(m, Analysis::kPlaneStress);
-  BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+  SkylineMatrix k(prob.dof_skyline_lows());
   std::vector<double> rhs;
   EXPECT_THROW(prob.assemble(k, rhs), Error);
 }

@@ -4,6 +4,7 @@
 #include "util/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -203,13 +204,32 @@ TEST(ParallelTest, PoolIsReusableAfterAnException) {
 TEST(ParallelTest, NestedCallFromWorkerRunsSerialInlineWithoutDeadlock) {
   std::atomic<std::int64_t> total{0};
   std::atomic<int> nested_on_worker{0};
+  // The submitting thread joins the claim loop and can finish all four
+  // trivial chunks before any worker wakes. So a chunk on the submitting
+  // thread waits (bounded) until a worker has started one: with more than
+  // one hardware thread, at least one nested call then runs on a worker.
+  std::mutex mu;
+  std::condition_variable worker_started;
+  bool started = false;
+  const bool wait_for_worker = util::hardware_threads() > 1;
   util::parallel_for(
       4,
       [&](std::int64_t) {
-        if (util::ThreadPool::on_worker_thread()) nested_on_worker++;
+        if (util::ThreadPool::on_worker_thread()) {
+          nested_on_worker++;
+          std::lock_guard<std::mutex> lock(mu);
+          started = true;
+          worker_started.notify_all();
+        } else if (wait_for_worker) {
+          std::unique_lock<std::mutex> lock(mu);
+          worker_started.wait_for(lock, std::chrono::seconds(30),
+                                  [&] { return started; });
+        }
         // A nested parallel_for must fall back to inline-serial on worker
-        // threads; either way it must complete and visit every index.
-        std::int64_t local = 0;
+        // threads; either way it must complete and visit every index. On
+        // the submitting thread it really runs in parallel, so the sum is
+        // atomic.
+        std::atomic<std::int64_t> local{0};
         util::parallel_for(
             100, [&](std::int64_t i) { local += i; }, 4);
         total += local;

@@ -740,9 +740,10 @@ TEST(ServeCacheTest, FactorTtlPlumbsThroughAndSummarizes) {
 }
 
 TEST(ServeCacheTest, StorageAndOrderFlagsPinEveryJobsRunOptions) {
-  // The shared facade parses --storage/--order (joined and split forms)
-  // and threads them into both RunOptions and ServeOptions, so a pinned
-  // deployment re-keys its factor cache away from an auto one.
+  // The shared facade parses --storage/--order (joined and split forms).
+  // --order threads into both RunOptions and ServeOptions, so a pinned
+  // deployment re-keys its factor cache away from an unpinned one;
+  // --storage is accepted and ignored (there is one stiffness storage).
   feio::api::CommonOptions common;
   std::string error;
   std::vector<std::string> argv_storage = {"--storage", "skyline",
@@ -756,10 +757,8 @@ TEST(ServeCacheTest, StorageAndOrderFlagsPinEveryJobsRunOptions) {
         << error;
   }
   const RunOptions ro = feio::api::run_options(common);
-  EXPECT_EQ(ro.solver_storage, SolverStorage::kSkyline);
   EXPECT_EQ(ro.ordering, OrderingChoice::kHilbert);
   const serve::ServeOptions so = feio::api::serve_options(common);
-  EXPECT_EQ(so.solver_storage, SolverStorage::kSkyline);
   EXPECT_EQ(so.ordering, OrderingChoice::kHilbert);
 
   // Junk values are structured flag errors, not silent defaults.
@@ -771,11 +770,11 @@ TEST(ServeCacheTest, StorageAndOrderFlagsPinEveryJobsRunOptions) {
             feio::api::FlagStatus::kError);
   EXPECT_NE(error.find("auto, banded or skyline"), std::string::npos);
 
-  // A pinned session still serves correctly: forced-skyline solves hit
-  // the cache on repeats exactly like the auto path.
-  serve::ServeOptions opts;
+  // A session started with --storage still serves correctly: repeats hit
+  // the cache exactly like a session without the flag.
+  serve::ServeOptions opts = so;
   opts.threads = 1;
-  opts.solver_storage = SolverStorage::kSkyline;
+  opts.ordering = OrderingChoice::kDeckDefault;
   std::vector<std::string> envelopes;
   const serve::ServeSummary s =
       run_serve({solve_job("a"), solve_job("a")}, envelopes, opts);

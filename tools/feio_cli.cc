@@ -26,9 +26,8 @@
 //   feio help | --help | -h
 //
 // --threads N runs the parallel pipeline stages (contour extraction,
-// assembly, shaping, batch decks) and the FEM hot path (element assembly,
-// blocked banded factorization) on N threads; `--threads all` uses every
-// hardware thread. Output is byte-identical to a serial run for any N.
+// assembly, shaping, batch decks) and the FEM element assembly on N
+// threads; `--threads all` uses every hardware thread. Output is byte-identical to a serial run for any N.
 //
 // Observability (docs/OBSERVABILITY.md), accepted by every subcommand:
 //   --trace FILE         write a Chrome trace-event JSON of the run
@@ -141,8 +140,8 @@ void print_usage(std::FILE* to) {
                "  stream with caches off and adds the speedup to\n"
                "  BENCH_serve.json\n"
                "--order overrides the deck's renumbering scheme; --storage\n"
-               "  pins the stiffness layout (auto lets the fill predictor\n"
-               "  choose between banded and compressed skyline)\n"
+               "  is accepted but ignored for one release (one envelope\n"
+               "  kernel serves every solve)\n"
                "--listen ADDR serves concurrent connections on host:port or\n"
                "  unix:path; --max-conns N stops after N connections\n"
                "  (0 = accept forever)\n"
