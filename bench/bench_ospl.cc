@@ -9,7 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "ospl/contour.h"
 #include "ospl/interval.h"
 #include "ospl/labels.h"
@@ -107,11 +107,9 @@ void BM_LabelPlacement(benchmark::State& state) {
   const auto levels =
       ospl::contour_levels(lo, hi, ospl::auto_interval(lo, hi));
   const auto segs = ospl::extract_contours(m, values, levels);
-  const mesh::Topology topo(m);
-  const std::set<mesh::Edge> boundary(topo.boundary_edges().begin(),
-                                      topo.boundary_edges().end());
+  const mesh::EdgeTable topo(m);
   for (auto _ : state) {
-    ospl::LabelResult r = ospl::place_labels(segs, boundary, m.bounds());
+    ospl::LabelResult r = ospl::place_labels(segs, topo, m.bounds());
     benchmark::DoNotOptimize(r.accepted.size());
   }
 }

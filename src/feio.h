@@ -31,9 +31,9 @@
 #include "lint/rule.h"        // IWYU pragma: export
 #include "lint/sarif.h"       // IWYU pragma: export
 #include "mesh/bandwidth.h"   // IWYU pragma: export
+#include "mesh/edge_table.h"  // IWYU pragma: export
 #include "mesh/io.h"          // IWYU pragma: export
 #include "mesh/quality.h"     // IWYU pragma: export
-#include "mesh/topology.h"    // IWYU pragma: export
 #include "mesh/tri_mesh.h"    // IWYU pragma: export
 #include "mesh/validate.h"    // IWYU pragma: export
 #include "ospl/deck.h"        // IWYU pragma: export

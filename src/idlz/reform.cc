@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <utility>
+#include <vector>
 
 #include "geom/vec2.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "util/error.h"
 
 namespace feio::idlz {
@@ -86,41 +86,54 @@ bool flip_improves(const mesh::TriMesh& mesh, int e1, int e2, double tol) {
 ReformReport reform(mesh::TriMesh& mesh, const ReformOptions& opts) {
   ReformReport report;
 
+  // last_flip[e]: the pass in which element e last flipped (-1: never).
+  const auto num_elements = static_cast<size_t>(mesh.num_elements());
+  std::vector<int> last_flip(num_elements, -1);
+  // "No flip" verdicts, one slot per (element, local edge): the partner
+  // element and the pass the verdict was reached in. A verdict depends only
+  // on the two elements' corners, which change only when one of them flips,
+  // so it stands until one of the pair flips.
+  struct Verdict {
+    int partner = -1;
+    int pass = -1;
+  };
+  std::vector<Verdict> no_flip(3 * num_elements);
+
   for (int pass = 0; pass < opts.max_passes; ++pass) {
     ++report.passes;
     int flips_this_pass = 0;
 
-    // Rebuild the edge map each pass; flips invalidate it incrementally and
-    // meshes here are small (hundreds of elements in the paper's regime).
-    std::map<mesh::Edge, std::vector<int>> edge_elems;
-    for (int e = 0; e < mesh.num_elements(); ++e) {
-      const auto& n = mesh.element(e).n;
-      for (int k = 0; k < 3; ++k) {
-        edge_elems[mesh::Edge(n[static_cast<size_t>(k)],
-                              n[static_cast<size_t>((k + 1) % 3)])]
-            .push_back(e);
-      }
-    }
-
-    std::vector<char> touched(static_cast<size_t>(mesh.num_elements()), 0);
-    for (const auto& [edge, elems] : edge_elems) {
+    // One table per pass: it snapshots the connectivity the pass starts
+    // from; a flip makes its two elements stale until the next pass.
+    const mesh::EdgeTable topo(mesh);
+    for (int id = 0; id < topo.num_edges(); ++id) {
+      const auto elems = topo.edge_elements(id);
       if (elems.size() != 2) continue;
       const int e1 = elems[0];
       const int e2 = elems[1];
-      if (touched[static_cast<size_t>(e1)] || touched[static_cast<size_t>(e2)]) {
-        continue;  // connectivity stale after an earlier flip this pass
-      }
+      const int changed = std::max(last_flip[static_cast<size_t>(e1)],
+                                   last_flip[static_cast<size_t>(e2)]);
+      if (changed == pass) continue;  // stale after a flip earlier this pass
+      const auto local = topo.element_edges(e1);
+      Verdict& verdict = no_flip[3 * static_cast<size_t>(e1) +
+                                 static_cast<size_t>(std::find(local.begin(), local.end(), id) -
+                                                     local.begin())];
+      if (verdict.partner == e2 && verdict.pass > changed) continue;
       int s1, s2, p1, p2;
-      if (!quad_of(mesh, e1, e2, s1, s2, p1, p2)) continue;
-      double current, flipped;
-      bool valid;
-      flip_angles(mesh, s1, s2, p1, p2, current, flipped, valid);
-      if (!valid || flipped <= current + opts.improvement_tol) continue;
+      double current = 0.0, flipped = 0.0;
+      bool valid = false;
+      if (quad_of(mesh, e1, e2, s1, s2, p1, p2)) {
+        flip_angles(mesh, s1, s2, p1, p2, current, flipped, valid);
+      }
+      if (!valid || flipped <= current + opts.improvement_tol) {
+        verdict = {e2, pass};
+        continue;
+      }
 
       mesh.element(e1).n = {p1, p2, s1};
       mesh.element(e2).n = {p1, p2, s2};
-      touched[static_cast<size_t>(e1)] = 1;
-      touched[static_cast<size_t>(e2)] = 1;
+      last_flip[static_cast<size_t>(e1)] = pass;
+      last_flip[static_cast<size_t>(e2)] = pass;
       ++flips_this_pass;
     }
 

@@ -13,10 +13,6 @@
 
 #include "mesh/tri_mesh.h"
 
-namespace feio::mesh {
-class Topology;
-}
-
 namespace feio::idlz {
 
 struct ReformOptions {

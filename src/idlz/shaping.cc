@@ -220,8 +220,9 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
   FEIO_REQUIRE(unlocated == 0, std::to_string(unlocated) +
                                    " nodes remain unlocated after shaping");
 
+  // Shaping moves nodes and orient_ccw only permutes corners, so the
+  // boundary flags assemble() computed still hold.
   assembly.mesh.orient_ccw();
-  assembly.mesh.classify_boundary();
   return report;
 }
 

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "mesh/quality.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 
 namespace feio::idlz {
 
@@ -16,8 +16,8 @@ SmoothReport smooth_interior(mesh::TriMesh& mesh,
     report.converged = true;
     return report;
   }
-  mesh.classify_boundary();
-  const mesh::Topology topo(mesh);
+  const mesh::EdgeTable topo(mesh);
+  mesh.classify_boundary(topo);
   const geom::BBox box = mesh.bounds();
   const double tol =
       options.tolerance_frac * std::hypot(box.width(), box.height());
@@ -48,7 +48,7 @@ SmoothReport smooth_interior(mesh::TriMesh& mesh,
     double max_move = 0.0;
     for (int n = 0; n < mesh.num_nodes(); ++n) {
       if (mesh.node(n).boundary != mesh::BoundaryKind::kInterior) continue;
-      const auto& nbrs = topo.neighbors(n);
+      const auto nbrs = topo.neighbors(n);
       if (nbrs.empty()) continue;
 
       geom::Vec2 centroid;

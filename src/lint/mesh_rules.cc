@@ -3,8 +3,6 @@
 // otherwise discover only in the check plot (needles, Figure 9b) or in the
 // analysis program's run time (bandwidth).
 #include <algorithm>
-#include <array>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +10,7 @@
 #include "lint/lint.h"
 #include "mesh/bandwidth.h"
 #include "mesh/quality.h"
+#include "mesh/validate.h"
 #include "util/strings.h"
 
 namespace feio::lint {
@@ -76,13 +75,8 @@ void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
 
   // L-MESH-004: elements over the same node set (overlapping subdivisions
   // produce these even when L-SUB-002 could not see the overlap).
-  std::set<std::array<int, 3>> seen;
-  int duplicates = 0;
-  for (const mesh::Element& e : mesh.elements()) {
-    std::array<int, 3> key = e.n;
-    std::sort(key.begin(), key.end());
-    if (!seen.insert(key).second) ++duplicates;
-  }
+  const std::vector<char> duplicate = mesh::duplicate_elements(mesh);
+  const auto duplicates = std::count(duplicate.begin(), duplicate.end(), 1);
   if (duplicates > 0) {
     sink.error("L-MESH-004",
                std::to_string(duplicates) +

@@ -1,9 +1,8 @@
 #include "mesh/refine.h"
 
-#include <map>
 #include <numeric>
 
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "util/error.h"
 
 namespace feio::mesh {
@@ -15,24 +14,23 @@ RefineResult refine_uniform(const TriMesh& mesh) {
     out.mesh.add_node(n.pos, n.boundary);
   }
 
-  // Midpoint node per undirected edge, created on demand.
-  std::map<Edge, int> midpoint;
-  auto mid = [&](int a, int b) {
-    const Edge e(a, b);
-    auto it = midpoint.find(e);
-    if (it != midpoint.end()) return it->second;
-    const int m =
-        out.mesh.add_node(geom::lerp(mesh.pos(a), mesh.pos(b), 0.5));
-    midpoint.emplace(e, m);
+  // Midpoint node per edge id, created on first use (interpolated in that
+  // use's direction), so midpoints are numbered in element order.
+  const EdgeTable topo(mesh);
+  std::vector<int> midpoint(static_cast<size_t>(topo.num_edges()), -1);
+  auto mid = [&](int id, int a, int b) {
+    int& m = midpoint[static_cast<size_t>(id)];
+    if (m < 0) m = out.mesh.add_node(geom::lerp(mesh.pos(a), mesh.pos(b), 0.5));
     return m;
   };
 
   out.parent.reserve(static_cast<size_t>(mesh.num_elements()) * 4);
   for (int e = 0; e < mesh.num_elements(); ++e) {
     const auto& n = mesh.element(e).n;
-    const int m01 = mid(n[0], n[1]);
-    const int m12 = mid(n[1], n[2]);
-    const int m20 = mid(n[2], n[0]);
+    const auto edges = topo.element_edges(e);
+    const int m01 = mid(edges[0], n[0], n[1]);
+    const int m12 = mid(edges[1], n[1], n[2]);
+    const int m20 = mid(edges[2], n[2], n[0]);
     out.mesh.add_element(n[0], m01, m20);
     out.mesh.add_element(n[1], m12, m01);
     out.mesh.add_element(n[2], m20, m12);

@@ -1,9 +1,9 @@
 #include "mesh/tri_mesh.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
+#include "mesh/edge_table.h"
 #include "util/error.h"
 
 namespace feio::mesh {
@@ -44,39 +44,12 @@ int TriMesh::orient_ccw() {
   return flipped;
 }
 
-void TriMesh::classify_boundary() {
-  // Edge -> number of adjacent elements.
-  std::map<std::pair<int, int>, int> edge_count;
-  std::vector<int> elems_per_node(static_cast<size_t>(num_nodes()), 0);
-  for (const Element& el : elements_) {
-    for (int k = 0; k < 3; ++k) {
-      int a = el.n[static_cast<size_t>(k)];
-      int b = el.n[static_cast<size_t>((k + 1) % 3)];
-      // Each node starts exactly one of the element's three directed edges,
-      // so this counts element membership per node.
-      ++elems_per_node[static_cast<size_t>(a)];
-      if (a > b) std::swap(a, b);
-      ++edge_count[{a, b}];
-    }
-  }
+void TriMesh::classify_boundary() { classify_boundary(EdgeTable(*this)); }
 
-  std::vector<bool> on_boundary(static_cast<size_t>(num_nodes()), false);
-  for (const auto& [edge, count] : edge_count) {
-    if (count == 1) {
-      on_boundary[static_cast<size_t>(edge.first)] = true;
-      on_boundary[static_cast<size_t>(edge.second)] = true;
-    }
-  }
-  for (int i = 0; i < num_nodes(); ++i) {
-    auto& node = nodes_[static_cast<size_t>(i)];
-    if (!on_boundary[static_cast<size_t>(i)]) {
-      node.boundary = BoundaryKind::kInterior;
-    } else if (elems_per_node[static_cast<size_t>(i)] == 1) {
-      node.boundary = BoundaryKind::kBoundarySingle;
-    } else {
-      node.boundary = BoundaryKind::kBoundaryShared;
-    }
-  }
+void TriMesh::classify_boundary(const EdgeTable& table) {
+  const std::vector<BoundaryKind>& kinds = table.boundary_kinds();
+  FEIO_ASSERT(kinds.size() == nodes_.size());
+  for (size_t i = 0; i < nodes_.size(); ++i) nodes_[i].boundary = kinds[i];
 }
 
 geom::BBox TriMesh::bounds() const {

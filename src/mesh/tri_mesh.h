@@ -29,6 +29,8 @@ struct Node {
   BoundaryKind boundary = BoundaryKind::kInterior;
 };
 
+class EdgeTable;
+
 struct Element {
   std::array<int, 3> n{-1, -1, -1};
 
@@ -71,6 +73,8 @@ class TriMesh {
   // boundary node iff it lies on an edge used by exactly one element, and it
   // is kBoundarySingle iff it additionally belongs to exactly one element.
   void classify_boundary();
+  // The same from a table already built over this mesh's elements.
+  void classify_boundary(const EdgeTable& table);
 
   geom::BBox bounds() const;
 

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <map>
-#include <set>
 #include <string>
 
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 
 namespace feio::mesh {
 namespace {
@@ -58,10 +55,37 @@ void ValidationReport::merge_into(DiagSink& sink) const {
   for (const Diag& d : diags) sink.add(d);
 }
 
+std::vector<char> duplicate_elements(const TriMesh& mesh) {
+  struct Key {
+    std::array<int, 3> nodes;
+    int element;
+  };
+  std::vector<Key> keys;
+  keys.reserve(static_cast<size_t>(mesh.num_elements()));
+  for (int e = 0; e < mesh.num_elements(); ++e) {
+    std::array<int, 3> nodes = mesh.element(e).n;
+    std::sort(nodes.begin(), nodes.end());
+    keys.push_back({nodes, e});
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& x, const Key& y) {
+    return x.nodes != y.nodes ? x.nodes < y.nodes : x.element < y.element;
+  });
+  std::vector<char> flag(keys.size(), 0);
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i].nodes == keys[i - 1].nodes) {
+      flag[static_cast<size_t>(keys[i].element)] = 1;
+    }
+  }
+  return flag;
+}
+
 ValidationReport validate(const TriMesh& mesh) {
   ValidationReport rep;
 
-  std::set<std::array<int, 3>> seen;
+  // An element with an out-of-range or repeated index never shares its
+  // sorted triple with a well-formed one, so flagging over all elements
+  // marks exactly the well-formed repeats.
+  const std::vector<char> duplicate = duplicate_elements(mesh);
   for (int e = 0; e < mesh.num_elements(); ++e) {
     const Element& el = mesh.element(e);
     bool in_range = true;
@@ -76,9 +100,7 @@ ValidationReport validate(const TriMesh& mesh) {
       error(rep, "E-MESH-002", elem_str(e) + ": repeated node index");
       continue;
     }
-    std::array<int, 3> key{el.n[0], el.n[1], el.n[2]};
-    std::sort(key.begin(), key.end());
-    if (!seen.insert(key).second) {
+    if (duplicate[static_cast<size_t>(e)]) {
       error(rep, "E-MESH-003",
             elem_str(e) + ": duplicate of an earlier element");
     }
@@ -92,18 +114,13 @@ ValidationReport validate(const TriMesh& mesh) {
 
   if (!rep.ok()) return rep;  // topology needs valid indices
 
-  const Topology topo(mesh);
+  const EdgeTable topo(mesh);
 
   // Non-manifold edges.
-  std::map<Edge, int> edge_count;
-  for (const Element& el : mesh.elements()) {
-    for (int k = 0; k < 3; ++k) {
-      ++edge_count[Edge(el.n[static_cast<size_t>(k)],
-                        el.n[static_cast<size_t>((k + 1) % 3)])];
-    }
-  }
-  for (const auto& [edge, count] : edge_count) {
+  for (int id = 0; id < topo.num_edges(); ++id) {
+    const size_t count = topo.edge_elements(id).size();
     if (count > 2) {
+      const Edge edge = topo.edge(id);
       error(rep, "E-MESH-006",
             "edge (" + std::to_string(edge.a) + "," + std::to_string(edge.b) +
                 ") shared by " + std::to_string(count) + " elements");
@@ -111,16 +128,14 @@ ValidationReport validate(const TriMesh& mesh) {
   }
 
   // Boundary flags vs. topology.
-  TriMesh copy = mesh;
-  copy.classify_boundary();
+  const std::vector<BoundaryKind>& kinds = topo.boundary_kinds();
   for (int i = 0; i < mesh.num_nodes(); ++i) {
-    if (mesh.node(i).boundary != copy.node(i).boundary) {
+    if (mesh.node(i).boundary != kinds[static_cast<size_t>(i)]) {
       warning(rep, "W-MESH-007",
               "node " + std::to_string(i) +
                   ": boundary flag inconsistent with topology");
     }
   }
-
   // Isolated nodes.
   for (int i = 0; i < mesh.num_nodes(); ++i) {
     if (topo.elements_of(i).empty()) {

@@ -34,4 +34,8 @@ struct ValidationReport {
 // because multi-part idealizations are legal in IDLZ.
 ValidationReport validate(const TriMesh& mesh);
 
+// flag[e] = 1 when element e references the same node set as an earlier
+// element. Found by sorting the elements' sorted corner triples.
+std::vector<char> duplicate_elements(const TriMesh& mesh);
+
 }  // namespace feio::mesh

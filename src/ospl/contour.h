@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "geom/vec2.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "mesh/tri_mesh.h"
 
 namespace feio::ospl {

@@ -29,7 +29,7 @@ std::string format_level(double level, int decimals) {
 }
 
 LabelResult place_labels(const std::vector<ContourSegment>& segments,
-                         const std::set<mesh::Edge>& boundary_edges,
+                         const mesh::EdgeTable& topo,
                          const geom::BBox& plot_bounds,
                          const LabelOptions& opts) {
   LabelResult result;
@@ -44,7 +44,8 @@ LabelResult place_labels(const std::vector<ContourSegment>& segments,
     for (int end = 0; end < 2; ++end) {
       const mesh::Edge& edge = end == 0 ? seg.edge_a : seg.edge_b;
       if (edge.a < 0) continue;  // clipped end point, not on a mesh edge
-      if (boundary_edges.count(edge) == 0) continue;
+      const int id = topo.find(edge);
+      if (id < 0 || !topo.is_boundary(id)) continue;
       candidates.push_back(ContourLabel{end == 0 ? seg.a : seg.b, seg.level,
                                         format_level(seg.level,
                                                      opts.decimals)});

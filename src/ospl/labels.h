@@ -7,12 +7,11 @@
 // point inside the boundary."
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "geom/polygon.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "ospl/contour.h"
 
 namespace feio::ospl {
@@ -50,12 +49,11 @@ struct LabelResult {
 // decimals, trailing '.' when decimals == 0 (e.g. "+12500.").
 std::string format_level(double level, int decimals);
 
-// Places labels at contour/boundary intersections. `boundary_edges` is the
-// set of mesh boundary edges (from Topology); a segment end point lying on
-// one of them is a boundary intersection. Zero-level labels are always
-// accepted.
+// Places labels at contour/boundary intersections: a segment end point
+// lying on a boundary edge of `topo` (the contoured mesh's table) is a
+// boundary intersection. Zero-level labels are always accepted.
 LabelResult place_labels(const std::vector<ContourSegment>& segments,
-                         const std::set<mesh::Edge>& boundary_edges,
+                         const mesh::EdgeTable& topo,
                          const geom::BBox& plot_bounds,
                          const LabelOptions& opts = {});
 

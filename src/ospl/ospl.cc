@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <optional>
 
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "mesh/validate.h"
 #include "util/cancel.h"
 #include "util/error.h"
@@ -107,13 +107,12 @@ OsplResult run(const OsplCase& c, const RunOptions& opts) {
 
   // Boundary: adjacent boundary nodes connected by straight lines.
   FEIO_CHECK_CANCEL("ospl.boundary");
-  std::set<mesh::Edge> boundary_edges;
+  std::optional<mesh::EdgeTable> topo;
   {
     FEIO_TRACE_SPAN(span, "ospl.boundary");
-    const mesh::Topology topo(c.mesh);
-    boundary_edges.insert(topo.boundary_edges().begin(),
-                          topo.boundary_edges().end());
-    for (const mesh::Edge& e : topo.boundary_edges()) {
+    topo.emplace(c.mesh);
+    for (int id : topo->boundary_edges()) {
+      const mesh::Edge e = topo->edge(id);
       ContourSegment seg;
       seg.a = c.mesh.pos(e.a);
       seg.b = c.mesh.pos(e.b);
@@ -121,7 +120,7 @@ OsplResult run(const OsplCase& c, const RunOptions& opts) {
       seg.edge_b = e;
       if (clip_segment(window, seg)) r.boundary.push_back(seg);
     }
-    span.arg("edges", static_cast<std::int64_t>(boundary_edges.size()));
+    span.arg("edges", static_cast<std::int64_t>(topo->boundary_edges().size()));
   }
 
   // Labels at contour-boundary intersections.
@@ -133,7 +132,7 @@ OsplResult run(const OsplCase& c, const RunOptions& opts) {
   {
     FEIO_TRACE_SPAN(span, "ospl.labels");
     FEIO_FAULT("ospl.labels");
-    r.labels = place_labels(r.segments, boundary_edges, window, label_opts);
+    r.labels = place_labels(r.segments, *topo, window, label_opts);
     span.arg("accepted", static_cast<std::int64_t>(r.labels.accepted.size()));
   }
   FEIO_METRIC_ADD("ospl.labels_placed",

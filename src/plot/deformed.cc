@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "plot/mesh_plot.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -28,9 +27,11 @@ double draw_deformed(const mesh::TriMesh& mesh,
     scale = max_disp > 0.0 ? 0.05 * diag / max_disp : 1.0;
   }
 
+  // The deformed mesh has the same elements, so one table serves both.
+  const mesh::EdgeTable topo(mesh);
   if (opts.show_undeformed) {
-    const mesh::Topology topo(mesh);
-    for (const mesh::Edge& e : topo.boundary_edges()) {
+    for (int id : topo.boundary_edges()) {
+      const mesh::Edge e = topo.edge(id);
       out.line(mesh.pos(e.a), mesh.pos(e.b), Pen::kGridAid);
     }
   }
@@ -42,7 +43,7 @@ double draw_deformed(const mesh::TriMesh& mesh,
   }
   MeshPlotOptions mp;
   mp.draw_boundary = true;
-  draw_mesh(deformed, out, mp);
+  draw_mesh(deformed, topo, out, mp);
   return scale;
 }
 

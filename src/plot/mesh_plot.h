@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "mesh/edge_table.h"
 #include "mesh/tri_mesh.h"
 #include "plot/plot_file.h"
 
@@ -20,6 +21,9 @@ struct MeshPlotOptions {
 // Draws every element edge (once) plus options above into `out`.
 void draw_mesh(const mesh::TriMesh& mesh, PlotFile& out,
                const MeshPlotOptions& opts = {});
+// The same with a table already built over the mesh's elements.
+void draw_mesh(const mesh::TriMesh& mesh, const mesh::EdgeTable& topo,
+               PlotFile& out, const MeshPlotOptions& opts = {});
 
 // Convenience: a titled PlotFile of the mesh.
 PlotFile plot_mesh(const mesh::TriMesh& mesh, std::string title,

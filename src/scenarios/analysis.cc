@@ -1,13 +1,12 @@
 // The full IDLZ -> FEM -> nodal-field chains behind Figures 13-18.
 #include <cmath>
 #include <functional>
-#include <set>
 
 #include "fem/contact.h"
 #include "fem/solver.h"
 #include "fem/stress.h"
 #include "fem/thermal.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "scenarios/scenarios.h"
 #include "util/error.h"
 
@@ -29,11 +28,12 @@ IdlzResult idealize(IdlzCase c) {
 void external_pressure(fem::StaticProblem& prob, const mesh::TriMesh& mesh,
                        double p,
                        const std::function<bool(Vec2)>& on_surface) {
-  const mesh::Topology topo(mesh);
+  const mesh::EdgeTable topo(mesh);
   int applied = 0;
-  for (const mesh::Edge& e : topo.boundary_edges()) {
+  for (int id : topo.boundary_edges()) {
+    const mesh::Edge e = topo.edge(id);
     if (!on_surface(mesh.pos(e.a)) || !on_surface(mesh.pos(e.b))) continue;
-    const std::vector<int> elems = topo.edge_elements(e);
+    const auto elems = topo.edge_elements(id);
     FEIO_ASSERT(elems.size() == 1);
     const mesh::Element& el = mesh.element(elems[0]);
     // Find the directed order of the edge within the element.

@@ -15,7 +15,7 @@
 #include "fem/stress.h"
 #include "idlz/deck.h"
 #include "idlz/idlz.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "ospl/deck.h"
 #include "ospl/ospl.h"
 #include "scenarios/scenarios.h"
@@ -69,13 +69,14 @@ TEST(ChainTest, HatchDeckToIsoPlot) {
     if (std::abs(p.x) < 1e-6) prob.fix(n, true, false);
     if (p.y < 0.95) prob.fix(n, false, true);  // rim seat
   }
-  const mesh::Topology topo(r.mesh);
+  const mesh::EdgeTable topo(r.mesh);
   int loaded = 0;
-  for (const mesh::Edge& e : topo.boundary_edges()) {
+  for (int id : topo.boundary_edges()) {
+    const mesh::Edge e = topo.edge(id);
     // Outer cap surface: radius ~11.2 (coordinates went through F8.4).
     if (std::abs(r.mesh.pos(e.a).norm() - 11.2) < 1e-3 &&
         std::abs(r.mesh.pos(e.b).norm() - 11.2) < 1e-3) {
-      const auto elems = topo.edge_elements(e);
+      const auto elems = topo.edge_elements(id);
       const mesh::Element& el = r.mesh.element(elems[0]);
       int a = e.a;
       int b = e.b;

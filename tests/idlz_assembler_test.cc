@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "idlz/assembler.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "mesh/validate.h"
 #include "util/error.h"
 
@@ -65,7 +65,7 @@ TEST(AssembleTest, AdjacentSubdivisionsShareNodes) {
 TEST(AssembleTest, SharedBoundaryIsConforming) {
   const Assembly a = assemble({make(1, 1, 1, 4, 3), make(2, 1, 3, 4, 5)});
   // No non-manifold edges and exactly one boundary loop.
-  const mesh::Topology topo(a.mesh);
+  const mesh::EdgeTable topo(a.mesh);
   EXPECT_EQ(topo.boundary_loops().size(), 1u);
 }
 

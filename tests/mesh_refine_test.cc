@@ -8,7 +8,7 @@
 #include "idlz/idlz.h"
 #include "mesh/quality.h"
 #include "mesh/refine.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "mesh/validate.h"
 #include "scenarios/scenarios.h"
 #include "util/error.h"
@@ -94,7 +94,7 @@ TEST(RefineTest, MultiLevelComposesParentage) {
 TEST(RefineTest, BoundaryMidpointsAreBoundary) {
   const TriMesh m = square();
   const RefineResult r = refine_uniform(m);
-  const Topology topo(r.mesh);
+  const EdgeTable topo(r.mesh);
   EXPECT_EQ(topo.boundary_edges().size(), 8u);  // each outer edge split
   // Midpoint of an outer edge carries a boundary flag.
   for (int n = m.num_nodes(); n < r.mesh.num_nodes(); ++n) {
@@ -114,7 +114,7 @@ TEST(RefineTest, ConvergenceOnIdlzMesh) {
   auto peak_hoop = [](const TriMesh& mesh) {
     fem::StaticProblem prob(mesh, fem::Analysis::kAxisymmetric);
     prob.set_material(fem::Material::isotropic(9.5e6, 0.22));
-    const Topology topo(mesh);
+    const EdgeTable topo(mesh);
     for (int n = 0; n < mesh.num_nodes(); ++n) {
       const geom::Vec2 p = mesh.pos(n);
       if (std::abs(p.x) < 1e-9) prob.fix(n, true, false);
@@ -123,12 +123,13 @@ TEST(RefineTest, ConvergenceOnIdlzMesh) {
         prob.fix(n, false, true);
       }
     }
-    for (const Edge& e : topo.boundary_edges()) {
+    for (int id : topo.boundary_edges()) {
+      const Edge e = topo.edge(id);
       // Tolerance covers chord sagitta: refined midpoints sit ~c^2/8R
       // inside the true arc.
       if (std::abs(mesh.pos(e.a).norm() - 10.3) < 0.02 &&
           std::abs(mesh.pos(e.b).norm() - 10.3) < 0.02) {
-        const auto elems = topo.edge_elements(e);
+        const auto elems = topo.edge_elements(id);
         const Element& el = mesh.element(elems[0]);
         int a = e.a;
         int b = e.b;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cards/card_io.h"
-#include "mesh/topology.h"
+#include "mesh/edge_table.h"
 #include "ospl/contour.h"
 #include "ospl/deck.h"
 #include "ospl/interval.h"
@@ -330,6 +330,21 @@ TEST(LabelTest, FormatMatchesPaperStyle) {
   EXPECT_EQ(format_level(-0.1, 2), "-.10");
 }
 
+// Table of one triangle (0, 1, 2) plus an isolated node 3: (0, 1) is a
+// boundary edge and (2, 3) is no edge at all.
+const mesh::EdgeTable& boundary_01() {
+  static const mesh::EdgeTable table = [] {
+    mesh::TriMesh m;
+    m.add_node({0, 0});
+    m.add_node({1, 0});
+    m.add_node({0, 1});
+    m.add_node({5, 5});
+    m.add_element(0, 1, 2);
+    return mesh::EdgeTable(m);
+  }();
+  return table;
+}
+
 TEST(LabelTest, PlacedAtBoundaryIntersections) {
   ContourSegment s;
   s.a = {0, 0};
@@ -337,9 +352,8 @@ TEST(LabelTest, PlacedAtBoundaryIntersections) {
   s.level = 10.0;
   s.edge_a = mesh::Edge(0, 1);
   s.edge_b = mesh::Edge(2, 3);
-  const std::set<mesh::Edge> boundary{mesh::Edge(0, 1)};
   const LabelResult r =
-      place_labels({s}, boundary, {{0, 0}, {10, 10}});
+      place_labels({s}, boundary_01(), {{0, 0}, {10, 10}});
   ASSERT_EQ(r.accepted.size(), 1u);
   EXPECT_EQ(r.accepted[0].at, (Vec2{0, 0}));
   EXPECT_EQ(r.accepted[0].text, "+10.");
@@ -355,8 +369,7 @@ TEST(LabelTest, OverlapSuppressed) {
     s.edge_a = mesh::Edge(0, 1);
     segs.push_back(s);
   }
-  const std::set<mesh::Edge> boundary{mesh::Edge(0, 1)};
-  const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}});
+  const LabelResult r = place_labels(segs, boundary_01(), {{0, 0}, {10, 10}});
   EXPECT_EQ(r.accepted.size(), 1u);
   EXPECT_EQ(r.suppressed, 2);
 }
@@ -371,8 +384,7 @@ TEST(LabelTest, ZeroContoursAlwaysLabeled) {
     s.edge_a = mesh::Edge(0, 1);
     segs.push_back(s);
   }
-  const std::set<mesh::Edge> boundary{mesh::Edge(0, 1)};
-  const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}});
+  const LabelResult r = place_labels(segs, boundary_01(), {{0, 0}, {10, 10}});
   ASSERT_EQ(r.accepted.size(), 2u);  // zero accepted despite overlap
   EXPECT_EQ(r.accepted[1].text, "0.");
 }
@@ -420,7 +432,8 @@ TEST(LabelTest, InteriorEndpointsNotLabeled) {
   s.level = 10.0;
   s.edge_a = mesh::Edge(0, 1);  // interior edge
   s.edge_b = mesh::Edge(1, 2);  // interior edge
-  const LabelResult r = place_labels({s}, {}, {{0, 0}, {10, 10}});
+  const LabelResult r =
+      place_labels({s}, mesh::EdgeTable(mesh::TriMesh()), {{0, 0}, {10, 10}});
   EXPECT_TRUE(r.accepted.empty());
 }
 
