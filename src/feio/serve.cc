@@ -9,8 +9,10 @@
 #include <deque>
 #include <istream>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -37,9 +39,12 @@
 #include "util/drr.h"
 #include "util/error.h"
 #include "util/fault.h"
+#include "util/lru.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
 #include "util/thread_annotations.h"
+#include "util/trace.h"
 
 namespace feio::serve {
 namespace {
@@ -166,6 +171,75 @@ std::int64_t count_cards(const std::string& deck) {
   return n;
 }
 
+// What a deck's idealization depends on besides its bytes: the session's
+// ordering pin and the tenant's max_dofs. A hit skips IDLZ's
+// estimated-node guard, so a tenant with a tighter limit must never reuse
+// an entry a roomier tenant filled. The deck is shared so the LRU's two
+// copies of the key hold its bytes once; keys compare the bytes in full.
+struct IdealizationKey {
+  std::shared_ptr<const std::string> deck;
+  OrderingChoice ordering = OrderingChoice::kDeckDefault;
+  std::int64_t max_dofs = 0;
+};
+
+bool operator<(const IdealizationKey& a, const IdealizationKey& b) {
+  return std::tie(a.max_dofs, a.ordering, *a.deck) <
+         std::tie(b.max_dofs, b.ordering, *b.deck);
+}
+
+// One final mesh per data set of the deck, in deck order.
+using Idealization = std::shared_ptr<const std::vector<mesh::TriMesh>>;
+
+// The session's deck-keyed LRU of idealizations, shared by all workers. It
+// holds only decks whose whole job finished without a single diagnostic
+// (run_job decides), so a hit has nothing to replay but the solves.
+class IdealizationCache {
+ public:
+  explicit IdealizationCache(std::size_t capacity) : cache_(capacity) {}
+
+  // Looks the key up (promoting it) and counts the hit or miss, both in
+  // the local stats and as cache.idlz.hits/misses metrics.
+  Idealization get(const IdealizationKey& key) FEIO_EXCLUDES(mu_) {
+    Idealization found;
+    {
+      util::MutexLock lock(mu_);
+      if (const Idealization* slot = cache_.get(key)) {
+        found = *slot;
+        ++hits_;
+      } else {
+        ++misses_;
+      }
+    }
+    if (found != nullptr) {
+      FEIO_METRIC_ADD("cache.idlz.hits", 1);
+    } else {
+      FEIO_METRIC_ADD("cache.idlz.misses", 1);
+    }
+    return found;
+  }
+
+  void put(const IdealizationKey& key, Idealization meshes)
+      FEIO_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    cache_.put(key, std::move(meshes));
+  }
+
+  std::int64_t hits() const FEIO_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return hits_;
+  }
+  std::int64_t misses() const FEIO_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return misses_;
+  }
+
+ private:
+  mutable util::Mutex mu_;
+  util::LruCache<IdealizationKey, Idealization> cache_ FEIO_GUARDED_BY(mu_);
+  std::int64_t hits_ FEIO_GUARDED_BY(mu_) = 0;
+  std::int64_t misses_ FEIO_GUARDED_BY(mu_) = 0;
+};
+
 struct JobOutcome {
   JobStatus status = JobStatus::kError;
   std::string envelope;
@@ -192,9 +266,12 @@ struct JobSample {
 // scoped to this frame, so the worker lane is pristine for the next job
 // no matter how this one ends. `limits` is the job's tenant's merged
 // GuardLimits (base ServeOptions::guard with the tenant's overrides).
+// `idealizations` (null = disabled) short-cuts the deck read and IDLZ of an
+// idlz/solve job whose deck a clean earlier job already idealized.
 JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
                    const util::GuardLimits& limits,
-                   fem::FactorCache* factor_cache) {
+                   fem::FactorCache* factor_cache,
+                   IdealizationCache* idealizations) {
   const auto t0 = Clock::now();
   DiagSink sink;
   JobOutcome out;
@@ -249,15 +326,41 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
 
   try {
     if (job.pipeline == "idlz" || job.pipeline == "solve") {
-      const std::vector<idlz::IdlzCase> cases =
-          idlz::read_deck_string(job.deck, sink, "job:" + job.id);
-      for (const idlz::IdlzCase& c : cases) {
-        const std::optional<idlz::IdlzResult> result = run_idlz(c, sink, ro);
-        if (job.pipeline == "solve" && result.has_value()) {
-          // Warm-path reuse happens inside fem::solve via the session
-          // factor cache; a faulted/timed-out/singular solve throws past
-          // the cache insert, so it cannot poison later jobs.
-          solve_canonical(result->mesh, ro, job.load_case);
+      // Warm-path reuse of the factorization happens inside fem::solve via
+      // the session factor cache; a faulted/timed-out/singular solve throws
+      // past the cache insert, so it cannot poison later jobs.
+      const auto solve = [&](const mesh::TriMesh& mesh) {
+        if (job.pipeline == "solve") solve_canonical(mesh, ro, job.load_case);
+      };
+      // A fault-armed job neither reads nor fills the idealization cache:
+      // its armed sites must fire exactly where a cold run reaches them.
+      IdealizationCache* const cache =
+          job.fault.empty() ? idealizations : nullptr;
+      IdealizationKey key;
+      Idealization meshes;
+      if (cache != nullptr) {
+        key = {std::make_shared<const std::string>(job.deck), opts.ordering,
+               limits.max_dofs};
+        meshes = cache->get(key);
+      }
+      if (meshes != nullptr) {
+        FEIO_TRACE_SPAN(span, "serve.idlz_hit");
+        span.arg("deck", "job:" + job.id);
+        for (const mesh::TriMesh& mesh : *meshes) solve(mesh);
+      } else {
+        auto fresh = std::make_shared<std::vector<mesh::TriMesh>>();
+        for (const idlz::IdlzCase& c :
+             idlz::read_deck_string(job.deck, sink, "job:" + job.id)) {
+          std::optional<idlz::IdlzResult> result = run_idlz(c, sink, ro);
+          if (!result.has_value()) continue;
+          fresh->push_back(std::move(result->mesh));
+          solve(fresh->back());
+        }
+        // Only a job that ended without a single diagnostic is cached, so
+        // a hit's envelope is byte-identical to a cold run's without
+        // replaying (job-labelled) diagnostics.
+        if (cache != nullptr && sink.empty()) {
+          cache->put(key, std::move(fresh));
         }
       }
     } else {
@@ -434,6 +537,10 @@ class Session {
             static_cast<std::size_t>(std::max(0, opts.factor_cache_capacity)),
             std::max<std::int64_t>(0, opts.factor_ttl_ms)),
         factors_(opts.factor_cache_capacity > 0 ? &factor_cache_ : nullptr),
+        idealization_cache_(
+            static_cast<std::size_t>(std::max(0, opts.factor_cache_capacity))),
+        idealizations_(opts.factor_cache_capacity > 0 ? &idealization_cache_
+                                                      : nullptr),
         format_base_(rebind_format_cache(opts.format_cache_capacity)),
         max_line_bytes_(line_cap(opts)),
         t0_(Clock::now()),
@@ -657,6 +764,8 @@ class Session {
       summary.factor_misses = fac.misses;
       summary.factor_load_reuses = fac.load_reuses;
       summary.factor_ttl_evictions = fac.ttl_evictions;
+      summary.idlz_hits = idealizations_->hits();
+      summary.idlz_misses = idealizations_->misses();
     }
     summary.window_jobs = std::max(0, opts_.window_jobs);
     summary.windows = cut_windows(samples, opts_.window_jobs, tenant_names);
@@ -804,7 +913,7 @@ class Session {
       limits = tenants_[static_cast<size_t>(p.tenant)].limits;
     }
     const JobOutcome outcome =
-        run_job(p.job, p.seq, opts_, limits, factors_);
+        run_job(p.job, p.seq, opts_, limits, factors_, idealizations_);
     {
       util::MutexLock lock(mu_);
       record_locked(p.conn, p.seq, p.tenant, outcome, /*admitted=*/true);
@@ -871,6 +980,10 @@ class Session {
   const int capacity_;
   fem::FactorCache factor_cache_;
   fem::FactorCache* const factors_;
+  // Sized and switched with the factor cache: a hit goes straight to the
+  // factor-cache lookup, so neither is useful without the other.
+  IdealizationCache idealization_cache_;
+  IdealizationCache* const idealizations_;
   const cards::FormatCacheStats format_base_;
   const std::int64_t max_line_bytes_;
   const Clock::time_point t0_;
@@ -935,7 +1048,9 @@ std::string ServeSummary::render_bench_json() const {
   out += "\"factor_ttl_evictions\": " + std::to_string(factor_ttl_evictions) +
          ", ";
   out += "\"factor_hit_rate\": " + fmt_rate(rate(factor_hits, factor_misses)) +
-         "},\n";
+         ", ";
+  out += "\"idlz_hits\": " + std::to_string(idlz_hits) + ", ";
+  out += "\"idlz_misses\": " + std::to_string(idlz_misses) + "},\n";
   out += "  \"tenants\": [";
   for (size_t i = 0; i < tenants.size(); ++i) {
     const TenantSummary& t = tenants[i];
@@ -1009,8 +1124,11 @@ std::string ServeSummary::render_table() const {
            std::to_string(factor_misses) + " misses (" +
            std::to_string(factor_load_reuses) + " load reuses, " +
            std::to_string(factor_ttl_evictions) + " ttl evictions)\n";
+    out += "  idlz cache .. " + std::to_string(idlz_hits) + " hits / " +
+           std::to_string(idlz_misses) + " misses\n";
   } else {
     out += "  factor LRU .. disabled\n";
+    out += "  idlz cache .. disabled\n";
   }
   for (const TenantSummary& t : tenants) {
     out += "  tenant ...... \"" + t.tenant + "\" w" +

@@ -24,7 +24,11 @@
 // assembly+factorization cost the factor cache exists to amortize. The
 // cache keys on the operator only (fem/factor_cache.h), so jobs that vary
 // nothing but load_case re-solve new load vectors against one cached
-// factorization.
+// factorization. In front of it sits a deck-keyed idealization cache: a
+// repeat of a deck that an earlier job idealized without any diagnostic
+// skips the deck read and IDLZ and goes straight to the solve, the way the
+// paper's analysis program re-read IDLZ's punched cards for every load
+// case.
 //
 // Admission is weighted deficit-round-robin across tenants (util/drr.h):
 // each job names a tenant (default "default"); a tenant's weight sets its
@@ -103,8 +107,9 @@ struct ServeOptions {
   // Serve-path cache capacities. format_cache rebinds the process-wide
   // FORMAT intern cache for the session; factor_cache bounds the
   // session-local LRU of factorized stiffness systems shared by all
-  // workers. 0 disables the respective cache (the `--ablate-caches` cold
-  // pass runs with both at 0).
+  // workers, and with it the deck-keyed LRU of idealized meshes that lets
+  // a repeat idlz/solve job skip the deck read and IDLZ. 0 disables the
+  // respective cache (the `--ablate-caches` cold pass runs with both at 0).
   int format_cache_capacity = 256;
   int factor_cache_capacity = 16;
 
@@ -220,6 +225,12 @@ struct ServeSummary {
   std::int64_t factor_load_reuses = 0;
   // Entries expired by ServeOptions::factor_ttl_ms (0 when the TTL is off).
   std::int64_t factor_ttl_evictions = 0;
+  // Deck-keyed idealization cache: idlz/solve jobs whose deck, ordering
+  // pin and tenant max_dofs matched a clean earlier job and so skipped the
+  // deck read and IDLZ. It is sized and switched with the factor cache
+  // (factor_cache_enabled covers both); fault-armed jobs never look up.
+  std::int64_t idlz_hits = 0;
+  std::int64_t idlz_misses = 0;
 
   // Per-tenant slices, config-declared tenants first (in declaration
   // order), then auto-registered ones in first-seen order.

@@ -9,16 +9,13 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/guard.h"
-#include "util/parallel.h"
 
 namespace feio::idlz {
 namespace {
 
 // The chain-merge core of triangulate_strip, emitting (a, b, c) triples
-// instead of mutating a mesh — so strips of different subdivisions can be
-// triangulated concurrently into per-subdivision buffers and appended to
-// the mesh afterwards in subdivision order, reproducing the serial element
-// numbering exactly.
+// instead of mutating a mesh, so one subdivision's strips can be
+// triangulated before its elements are appended in order.
 void merge_chains(const std::vector<int>& bottom,
                   const std::vector<double>& bottom_pos,
                   const std::vector<int>& top,
@@ -57,9 +54,8 @@ void merge_chains(const std::vector<int>& bottom,
   }
 }
 
-// Triangulates every strip pair of one subdivision into `tris`. Only reads
-// shared state (the subdivision and the finished node_at map), so it is
-// safe to run for all subdivisions concurrently.
+// Triangulates every strip pair of one subdivision into `tris`, reading
+// only the subdivision and the finished node_at map.
 void triangulate_subdivision(const Subdivision& sub,
                              const std::map<GridPoint, int>& node_at,
                              DiagonalStyle diagonals,
@@ -133,11 +129,9 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
   }
 
   // Pass 1: validate and number nodes subdivision by subdivision.
-  // Validation runs serially first so the error reported for a bad deck is
-  // the first one in deck order regardless of thread count; grid-point
-  // enumeration is per-subdivision independent and runs in parallel. The
-  // dedup numbering itself must stay sequential — shared nodes get the id
-  // of the first subdivision (in deck order) that covers their grid point.
+  // Validation runs first so the error reported for a bad deck is the
+  // first one in deck order; shared nodes get the id of the first
+  // subdivision (in deck order) that covers their grid point.
   for (const Subdivision& sub : subdivisions) {
     sub.validate();
     if (sub.k2 > limits.max_k || sub.l2 > limits.max_l) {
@@ -159,15 +153,9 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
   }
   util::guard_check_dofs(estimated_nodes, "assemblage nodes (estimated)");
 
-  std::vector<std::vector<GridPoint>> points(subdivisions.size());
-  util::parallel_for(static_cast<std::int64_t>(subdivisions.size()),
-                     [&](std::int64_t si) {
-                       points[static_cast<size_t>(si)] =
-                           subdivisions[static_cast<size_t>(si)].grid_points();
-                     });
   for (size_t si = 0; si < subdivisions.size(); ++si) {
     FEIO_CHECK_CANCEL("idlz.assemble.number");
-    for (const GridPoint& gp : points[si]) {
+    for (const GridPoint& gp : subdivisions[si].grid_points()) {
       auto [it, inserted] = out.node_at.try_emplace(
           gp, static_cast<int>(out.grid_of.size()));
       if (inserted) {
@@ -183,20 +171,14 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
                    " nodes, exceeding the allowed " +
                    std::to_string(limits.max_nodes) + " (Table 2 restriction)");
 
-  // Pass 2: create elements strip pair by strip pair. Triangulation only
-  // reads the finished node numbering, so subdivisions triangulate
-  // concurrently into staging buffers; the buffers are flushed into the
-  // mesh in subdivision order, which assigns exactly the serial element
-  // ids.
-  std::vector<std::vector<std::array<int, 3>>> staged(subdivisions.size());
-  util::parallel_for(
-      static_cast<std::int64_t>(subdivisions.size()), [&](std::int64_t si) {
-        triangulate_subdivision(subdivisions[static_cast<size_t>(si)],
-                                out.node_at, diagonals,
-                                staged[static_cast<size_t>(si)]);
-      });
+  // Pass 2: create elements strip pair by strip pair, in subdivision
+  // order, which assigns the element ids. (Per-subdivision parallel loops
+  // here did not beat this serial loop in `feio bench` on 4 threads.)
+  std::vector<std::array<int, 3>> tris;
   for (size_t si = 0; si < subdivisions.size(); ++si) {
-    for (const std::array<int, 3>& t : staged[si]) {
+    tris.clear();
+    triangulate_subdivision(subdivisions[si], out.node_at, diagonals, tris);
+    for (const std::array<int, 3>& t : tris) {
       out.subdivision_elements[si].push_back(
           out.mesh.add_element(t[0], t[1], t[2]));
     }

@@ -17,8 +17,13 @@
 #include "util/trace.h"
 
 namespace feio::idlz {
+namespace {
 
-IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
+// The whole pipeline. The cards are punched exactly once: through the
+// diagnosing overloads into `punch_diags` when it is given (run_checked,
+// which merges them after the validation findings), else silently (run).
+IdlzResult run_pipeline(const IdlzCase& c, const RunOptions& opts,
+                        DiagSink* punch_diags) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
   util::ScopedThreads threads_scope(opts.threads);
@@ -106,9 +111,9 @@ IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
   }
 
   assembly.mesh.classify_boundary();
-  r.mesh = assembly.mesh;
-  r.subdivision_nodes = assembly.subdivision_nodes;
-  r.subdivision_elements = assembly.subdivision_elements;
+  r.mesh = std::move(assembly.mesh);
+  r.subdivision_nodes = std::move(assembly.subdivision_nodes);
+  r.subdivision_elements = std::move(assembly.subdivision_elements);
 
   // 5. Data-volume accounting (claims C1/C2).
   r.volume.input_values = count_input_values(c.subdivisions, c.shaping);
@@ -162,17 +167,34 @@ IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
     span.arg("plots", static_cast<std::int64_t>(r.plots.size()));
   }
 
-  // 7. Optional punched output.
+  // 7. Optional punched output. With a sink, a value too wide for its
+  // user FORMAT field becomes E-PUNCH-001 (pointing at the type-7 card)
+  // instead of a silently corrupt card in the output.
   FEIO_CHECK_CANCEL("idlz.punch");
   if (c.options.punch_output && opts.punch) {
     FEIO_TRACE_SPAN(span, "idlz.punch");
     FEIO_FAULT("idlz.punch");
-    r.nodal_cards = punch_nodal_cards(r.mesh, c.options.nodal_format);
-    r.element_cards = punch_element_cards(r.mesh, c.options.element_format);
+    if (punch_diags != nullptr) {
+      r.nodal_cards = punch_nodal_cards(
+          r.mesh, c.options.nodal_format, *punch_diags,
+          {c.deck_name, c.options.nodal_format_card, 0, 0});
+      r.element_cards = punch_element_cards(
+          r.mesh, c.options.element_format, *punch_diags,
+          {c.deck_name, c.options.element_format_card, 0, 0});
+    } else {
+      r.nodal_cards = punch_nodal_cards(r.mesh, c.options.nodal_format);
+      r.element_cards = punch_element_cards(r.mesh, c.options.element_format);
+    }
     FEIO_METRIC_ADD("idlz.cards_punched",
                     r.mesh.num_nodes() + r.mesh.num_elements());
   }
   return r;
+}
+
+}  // namespace
+
+IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
+  return run_pipeline(c, opts, nullptr);
 }
 
 std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
@@ -184,23 +206,13 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
   const std::string prefix =
       c.title.empty() ? std::string() : "set '" + c.title + "': ";
   try {
-    IdlzResult r = run(c, opts);
+    DiagSink punch_diags;
+    IdlzResult r = run_pipeline(c, opts, &punch_diags);
     if (opts.validate_mesh) {
       FEIO_TRACE_SPAN(span, "idlz.validate");
       mesh::validate(r.mesh).merge_into(sink);
     }
-    // Re-punch through the diagnosing overloads: a value too wide for its
-    // user FORMAT field becomes E-PUNCH-001 (pointing at the type-7 card)
-    // instead of a silently corrupt card in the output.
-    if (c.options.punch_output && opts.punch) {
-      FEIO_TRACE_SPAN(span, "idlz.punch_checked");
-      r.nodal_cards = punch_nodal_cards(
-          r.mesh, c.options.nodal_format, sink,
-          {c.deck_name, c.options.nodal_format_card, 0, 0});
-      r.element_cards = punch_element_cards(
-          r.mesh, c.options.element_format, sink,
-          {c.deck_name, c.options.element_format_card, 0, 0});
-    }
+    sink.merge(punch_diags);
     return r;
   } catch (const ResourceError& e) {
     // Cancellation, admission-guard and injected-fault failures keep their

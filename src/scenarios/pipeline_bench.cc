@@ -25,19 +25,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// Minimum wall time of `reps` runs of fn() — the minimum is the least
-// noisy estimator for a deterministic workload.
-template <typename Fn>
-double time_min_ms(int reps, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const Clock::time_point start = Clock::now();
-    fn();
-    best = std::min(best, ms_since(start));
-  }
-  return best;
-}
-
 // Exact fingerprint of a mesh (positions as bits, element triples): two
 // runs are byte-identical iff their fingerprints match.
 std::string mesh_fingerprint(const mesh::TriMesh& m) {
@@ -79,38 +66,74 @@ std::vector<double> synthetic_field(const mesh::TriMesh& m) {
 }
 
 // One serial-vs-parallel measurement. `work` must be a pure function of
-// its thread count; `fingerprint` hashes its result for the identical
-// check.
+// the process-default thread count and return a fingerprint of its result
+// for the identical check. Each arm runs once untimed (warm-up +
+// fingerprint); the timed runs then alternate serial and parallel, so a
+// change in the host's speed during the cell hits both arms alike. Each
+// arm reports its fastest run — the least noisy estimator for a
+// deterministic workload — and its spread, (max - min) / min over its
+// timed runs, so a reader can tell a difference from noise.
 struct Measurement {
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
+  double serial_spread = 0.0;
+  double parallel_spread = 0.0;
   bool identical = false;
 };
 
 template <typename Fn>
 Measurement measure(int reps, int threads, Fn&& work) {
-  Measurement m;
-  std::string serial_fp;
-  std::string parallel_fp;
-  {
-    util::ScopedThreads guard(1);
-    serial_fp = work();  // warm-up + fingerprint
-    m.serial_ms = time_min_ms(reps, [&] { work(); });
+  const int arm_threads[2] = {1, threads};
+  std::string fingerprint[2];
+  for (int arm = 0; arm < 2; ++arm) {
+    util::ScopedThreads guard(arm_threads[arm]);
+    fingerprint[arm] = work();
   }
-  {
-    util::ScopedThreads guard(threads);
-    parallel_fp = work();
-    m.parallel_ms = time_min_ms(reps, [&] { work(); });
+  std::vector<double> times[2];
+  for (int r = 0; r < reps; ++r) {
+    for (int arm = 0; arm < 2; ++arm) {
+      util::ScopedThreads guard(arm_threads[arm]);
+      const Clock::time_point start = Clock::now();
+      work();
+      times[arm].push_back(ms_since(start));
+    }
   }
-  m.identical = serial_fp == parallel_fp;
-  return m;
+  double best[2] = {};
+  double spread[2] = {};
+  for (int arm = 0; arm < 2; ++arm) {
+    const auto [lo, hi] =
+        std::minmax_element(times[arm].begin(), times[arm].end());
+    best[arm] = *lo;
+    spread[arm] = (*hi - *lo) / std::max(*lo, 1e-9);
+  }
+  return {best[0], best[1], spread[0], spread[1],
+          fingerprint[0] == fingerprint[1]};
+}
+
+// The report row of one measured cell.
+PipelineBenchCase make_case(std::string name, std::string stage, int nodes,
+                            int elements, std::int64_t work_items,
+                            const Measurement& m) {
+  PipelineBenchCase c;
+  c.name = std::move(name);
+  c.stage = std::move(stage);
+  c.nodes = nodes;
+  c.elements = elements;
+  c.work_items = work_items;
+  c.serial_ms = m.serial_ms;
+  c.parallel_ms = m.parallel_ms;
+  c.speedup = m.serial_ms / std::max(m.parallel_ms, 1e-9);
+  c.serial_spread = m.serial_spread;
+  c.parallel_spread = m.parallel_spread;
+  c.identical = m.identical;
+  return c;
 }
 
 // Batch fixture: four scenario decks driven through the recovering
 // read + run_checked pipeline, per-deck sinks merged in input order —
-// the same shape as `feio idlz a.b b.b c.b d.b`.
-std::string process_deck_batch(const std::vector<std::string>& decks,
-                               int threads) {
+// the same shape as `feio idlz a.b b.b c.b d.b`, on the process-default
+// thread count.
+std::string process_deck_batch(const std::vector<std::string>& decks) {
   std::vector<std::string> outputs(decks.size());
   util::parallel_for(
       static_cast<std::int64_t>(decks.size()),
@@ -126,8 +149,7 @@ std::string process_deck_batch(const std::vector<std::string>& decks,
         }
         out << sink.render_json();
         outputs[static_cast<size_t>(i)] = out.str();
-      },
-      threads);
+      });
   std::string merged;
   for (const std::string& o : outputs) merged += o;
   return merged;
@@ -199,6 +221,8 @@ std::string PipelineBenchReport::render_json() const {
         << ", \"serial_ms\": " << c.serial_ms
         << ", \"parallel_ms\": " << c.parallel_ms
         << ", \"speedup\": " << c.speedup
+        << ", \"serial_spread\": " << c.serial_spread
+        << ", \"parallel_spread\": " << c.parallel_spread
         << ", \"identical\": " << (c.identical ? "true" : "false") << "}";
   }
   out << (cases.empty() ? "],\n" : "\n  ],\n");
@@ -215,15 +239,17 @@ std::string PipelineBenchReport::render_table() const {
   std::ostringstream out;
   out << "feio bench: " << threads << " threads ("
       << hardware_threads << " hardware), min of " << repetitions
-      << " reps\n";
+      << " alternating reps\n";
   out << "  case                        serial ms  parallel ms  speedup  "
-         "identical\n";
+         "spread s/p  identical\n";
   for (const PipelineBenchCase& c : cases) {
     out << "  " << c.name;
     for (size_t pad = c.name.size(); pad < 28; ++pad) out << ' ';
-    char row[80];
-    std::snprintf(row, sizeof row, "%9.3f  %11.3f  %6.2fx  %s\n",
+    char row[96];
+    std::snprintf(row, sizeof row,
+                  "%9.3f  %11.3f  %6.2fx  %4.0f%%/%3.0f%%  %s\n",
                   c.serial_ms, c.parallel_ms, c.speedup,
+                  100.0 * c.serial_spread, 100.0 * c.parallel_spread,
                   c.identical ? "yes" : "NO");
     out << row;
   }
@@ -262,12 +288,9 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
                                c.options.diagonals)
                     .mesh);
           });
-      report.cases.push_back({std::string("assemble/") + size.tag,
-                              "assemble", nodes, elements,
-                              static_cast<std::int64_t>(c.subdivisions.size()),
-                              m.serial_ms, m.parallel_ms,
-                              m.serial_ms / std::max(m.parallel_ms, 1e-9),
-                              m.identical});
+      report.cases.push_back(make_case(
+          std::string("assemble/") + size.tag, "assemble", nodes, elements,
+          static_cast<std::int64_t>(c.subdivisions.size()), m));
     }
 
     // Stage 2: shaping (re-assembles outside the stage fingerprint so the
@@ -281,12 +304,9 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
             idlz::shape(c.subdivisions, c.shaping, a, c.options.limits);
             return mesh_fingerprint(a.mesh);
           });
-      report.cases.push_back({std::string("shape/") + size.tag, "shape",
-                              nodes, elements,
-                              static_cast<std::int64_t>(c.subdivisions.size()),
-                              m.serial_ms, m.parallel_ms,
-                              m.serial_ms / std::max(m.parallel_ms, 1e-9),
-                              m.identical});
+      report.cases.push_back(make_case(
+          std::string("shape/") + size.tag, "shape", nodes, elements,
+          static_cast<std::int64_t>(c.subdivisions.size()), m));
     }
 
     // Stage 3: contour extraction over the shaped mesh.
@@ -304,11 +324,9 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
             return segments_fingerprint(
                 ospl::extract_contours(shaped.mesh, values, levels));
           });
-      report.cases.push_back({std::string("contours/") + size.tag,
-                              "contours", nodes, elements, elements,
-                              m.serial_ms, m.parallel_ms,
-                              m.serial_ms / std::max(m.parallel_ms, 1e-9),
-                              m.identical});
+      report.cases.push_back(make_case(std::string("contours/") + size.tag,
+                                       "contours", nodes, elements, elements,
+                                       m));
     }
   }
 
@@ -325,28 +343,11 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
     };
     // The outer deck loop owns the parallelism here: worker threads fall
     // back to inline-serial for the nested per-stage calls.
-    std::string serial_fp;
-    std::string parallel_fp;
-    double serial_ms = 0.0;
-    double parallel_ms = 0.0;
-    {
-      util::ScopedThreads guard(1);
-      serial_fp = process_deck_batch(decks, 1);
-      serial_ms =
-          time_min_ms(report.repetitions, [&] { process_deck_batch(decks, 1); });
-    }
-    {
-      util::ScopedThreads guard(report.threads);
-      parallel_fp = process_deck_batch(decks, report.threads);
-      parallel_ms = time_min_ms(report.repetitions, [&] {
-        process_deck_batch(decks, report.threads);
-      });
-    }
-    report.cases.push_back({"batch/4decks", "batch", 0, 0,
-                            static_cast<std::int64_t>(decks.size()),
-                            serial_ms, parallel_ms,
-                            serial_ms / std::max(parallel_ms, 1e-9),
-                            serial_fp == parallel_fp});
+    const Measurement m = measure(report.repetitions, report.threads,
+                                  [&] { return process_deck_batch(decks); });
+    report.cases.push_back(make_case("batch/4decks", "batch", 0, 0,
+                                     static_cast<std::int64_t>(decks.size()),
+                                     m));
 
     // One metered batch pass, outside the timed loops so metering overhead
     // never shows up in the reported times, supplies the report's embedded
@@ -356,7 +357,7 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
       util::MetricsRegistry metrics;
       util::ScopedMetricsInstall install(&metrics);
       util::ScopedThreads guard(report.threads);
-      process_deck_batch(decks, report.threads);
+      process_deck_batch(decks);
       report.metrics_json = metrics.render_body_json(4);
     }
   }

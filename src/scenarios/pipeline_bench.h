@@ -1,5 +1,6 @@
-// The `feio bench` harness: measures the three parallelized pipeline
-// stages (IDLZ assembly, IDLZ shaping, OSPL contour extraction) plus a
+// The `feio bench` harness: measures IDLZ assembly (serial since its
+// parallel loops lost at every size; kept as the serial reference), the
+// two parallelized stages (IDLZ shaping, OSPL contour extraction) and a
 // multi-deck batch run, serial versus N threads, on synthetic strip
 // assemblages up to the paper's 40 x 60 grid limit and beyond (via
 // idlz::Limits::unlimited()).
@@ -28,13 +29,17 @@ struct PipelineBenchCase {
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   double speedup = 0.0;     // serial_ms / parallel_ms
+  // (max - min) / min of each arm's timed repetitions, which alternate
+  // serial and parallel.
+  double serial_spread = 0.0;
+  double parallel_spread = 0.0;
   bool identical = false;   // parallel output byte-identical to serial
 };
 
 struct PipelineBenchReport {
   int hardware_threads = 1;
   int threads = 1;      // thread count of the parallel measurements
-  int repetitions = 1;  // timed repetitions; minimum is reported
+  int repetitions = 1;  // timed repetitions per arm; minimum is reported
   bool quick = false;
   std::vector<PipelineBenchCase> cases;
   // Metrics body (util::MetricsRegistry::render_body_json(4)) from one

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "cards/format.h"
+#include "cards/format_cache.h"
 #include "idlz/deck.h"
 #include "idlz/idlz.h"
 #include "idlz/punch.h"
 #include "mesh/tri_mesh.h"
 #include "util/diag.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace feio {
 namespace {
@@ -129,6 +132,58 @@ TEST(PunchDiagTest, RunCheckedReportsPunchOverflow) {
   EXPECT_EQ(punch->loc.card, 9);  // the element FORMAT card
   // The element cards were still produced (asterisk-filled where overflown).
   EXPECT_NE(r->element_cards.find("**"), std::string::npos);
+}
+
+// Occurrences of `needle` in `text`.
+int count_of(const std::string& text, const std::string& needle) {
+  int n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(PunchDiagTest, RunCheckedPunchesEveryCardOnce) {
+  // run_checked punches through the diagnosing overloads only: one punch
+  // span (no second idlz.punch* pass), one FORMAT lookup per card kind,
+  // one idlz.cards_punched increment, and the same card images run()
+  // punches.
+  const std::string deck =
+      "    1\n"
+      "PUNCH ONCE SET\n"
+      "    0    0    1    1\n"
+      "    1    1    1    5    3\n"
+      "    1    2\n"
+      "    1    1    5    1  0.0000  0.0000  4.0000  0.0000  0.0000\n"
+      "    1    3    5    3  0.0000  2.0000  4.0000  2.0000  0.0000\n"
+      "(2F9.5,51X,I3,5X,I3)\n"
+      "(3I5,62X,I3)\n";
+  DiagSink sink;
+  const auto cases = idlz::read_deck_string(deck, sink, "once.b");
+  ASSERT_EQ(cases.size(), 1u);
+  ASSERT_TRUE(cases.front().options.punch_output);
+  util::Tracer tracer;
+  util::MetricsRegistry metrics;
+  RunOptions ro;
+  ro.tracer = &tracer;
+  ro.metrics = &metrics;
+  const cards::FormatCacheStats before = cards::format_cache_stats();
+  const auto r = idlz::run_checked(cases.front(), sink, ro);
+  const cards::FormatCacheStats after = cards::format_cache_stats();
+  ASSERT_TRUE(r.has_value()) << sink.render_text();
+  EXPECT_TRUE(sink.empty()) << sink.render_text();
+  EXPECT_EQ(after.hits + after.misses - before.hits - before.misses, 2);
+  const std::string trace = tracer.render_json();
+  EXPECT_EQ(count_of(trace, "{\"name\": \"idlz.punch"),
+            2)  // its begin and end events
+      << trace;
+  EXPECT_EQ(metrics.snapshot().counters["idlz.cards_punched"],
+            r->mesh.num_nodes() + r->mesh.num_elements());
+  const idlz::IdlzResult plain = idlz::run(cases.front());
+  EXPECT_EQ(r->nodal_cards, plain.nodal_cards);
+  EXPECT_EQ(r->element_cards, plain.element_cards);
+  EXPECT_FALSE(r->nodal_cards.empty());
 }
 
 }  // namespace

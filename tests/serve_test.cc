@@ -6,6 +6,7 @@
 // buckets sum to the job count.
 #include "feio/serve.h"
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "ospl/deck.h"
 #include "ospl/ospl.h"
 #include "scenarios/pipeline_bench.h"
+#include "scenarios/scenarios.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 
 using namespace feio;
 
@@ -267,6 +270,15 @@ std::string string_field(const std::string& line, const std::string& key) {
   if (at == std::string::npos) return "";
   const size_t begin = at + needle.size();
   return line.substr(begin, line.find('"', begin) - begin);
+}
+
+// The envelope without its timing, the one field allowed to differ between
+// a warm and a cold run of the same job.
+std::string strip_elapsed(const std::string& line) {
+  const size_t at = line.find("\"elapsed_ms\": ");
+  if (at == std::string::npos) return line;
+  const size_t end = line.find_first_of(",}", at);
+  return line.substr(0, at) + line.substr(end);
 }
 
 serve::ServeSummary run_serve(const std::vector<std::string>& jobs,
@@ -529,9 +541,11 @@ TEST(ServeCacheTest, RepeatSolveJobsHitTheFactorCache) {
   EXPECT_EQ(s.ok, 5);
   EXPECT_EQ(s.factor_misses, 1);
   EXPECT_EQ(s.factor_hits, 4);
-  // Every job re-reads the same deck, so its FORMAT cards intern after the
-  // first parse (the cache is process-wide; the summary reports deltas).
-  EXPECT_GT(s.format_hits, 0);
+  // The repeats take their meshes from the idealization cache and never
+  // re-read the deck; FORMAT interning across re-reads is pinned by
+  // ServeIdlzCacheTest.DistinctDeckBytesMissButShareTheFactorization.
+  EXPECT_EQ(s.idlz_misses, 1);
+  EXPECT_EQ(s.idlz_hits, 4);
 }
 
 TEST(ServeCacheTest, ConcurrentRepeatSolvesStayConsistent) {
@@ -579,12 +593,6 @@ TEST(ServeCacheTest, WarmAndColdEnvelopesAgreeModuloTiming) {
   run_serve(jobs, cold_env, cold);
   ASSERT_EQ(warm_env.size(), cold_env.size());
   for (size_t i = 0; i < warm_env.size(); ++i) {
-    auto strip_elapsed = [](const std::string& line) {
-      const size_t at = line.find("\"elapsed_ms\": ");
-      if (at == std::string::npos) return line;
-      const size_t end = line.find_first_of(",}", at);
-      return line.substr(0, at) + line.substr(end);
-    };
     EXPECT_EQ(strip_elapsed(warm_env[i]), strip_elapsed(cold_env[i]));
   }
 }
@@ -669,12 +677,6 @@ TEST(ServeCacheTest, LoadReuseIsBitIdenticalAtAnyThreadCount) {
                                     i));
     }
   }
-  const auto strip_elapsed = [](const std::string& line) {
-    const size_t at = line.find("\"elapsed_ms\": ");
-    if (at == std::string::npos) return line;
-    const size_t end = line.find_first_of(",}", at);
-    return line.substr(0, at) + line.substr(end);
-  };
   serve::ServeOptions warm1;
   warm1.threads = 1;
   serve::ServeOptions warm8 = warm1;
@@ -956,6 +958,246 @@ TEST(ServeCacheTest, BenchJsonCarriesCacheWindowsAndAblation) {
         "\"windows\":", "\"p50_ms\":", "\"ablation\":", "\"speedup\":"}) {
     EXPECT_NE(bench.find(key), std::string::npos) << key << "\n" << bench;
   }
+}
+
+// --- Deck-keyed idealization cache ----------------------------------------
+
+std::string job_line(const std::string& id, const std::string& pipeline,
+                     const std::string& deck, const std::string& extra = "") {
+  return "{\"id\": \"" + id + "\", \"pipeline\": \"" + pipeline +
+         "\", \"deck\": \"" + json_escape_deck(deck) + "\"" + extra + "}";
+}
+
+// The envelope from its diagnostics array on: what a job reported, without
+// the per-session seq and timing.
+std::string diagnostics_of(const std::string& line) {
+  const size_t at = line.find("\"errors\": ");
+  return at == std::string::npos ? line : line.substr(at);
+}
+
+std::string gallery_deck(const std::string& id) {
+  for (const scenarios::NamedCase& nc : scenarios::all_idealizations()) {
+    if (nc.id == id) return idlz::write_deck({nc.c});
+  }
+  ADD_FAILURE() << "no gallery case " << id;
+  return "";
+}
+
+std::string example_deck(const std::string& name) {
+  std::ifstream in(std::string(FEIO_EXAMPLE_DECKS) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_FALSE(text.str().empty()) << name;
+  return text.str();
+}
+
+// Two strips that share no node: IDLZ succeeds, and validation warns that
+// the mesh has two connected components (W-MESH-009). Both strips reach
+// the minimum-x column, so serve's canonical solve is well posed.
+std::string warning_deck() {
+  idlz::IdlzCase c = scenarios::strip_case(4, 4, 2);
+  c.title = "TWO PIECES";
+  idlz::Subdivision& upper = c.subdivisions[1];
+  upper.l1 += 2;
+  upper.l2 += 2;
+  for (idlz::ShapeLine& line : c.shaping[1].lines) {
+    line.l1 += 2;
+    line.l2 += 2;
+    line.p1.y += 2.0;
+    line.p2.y += 2.0;
+  }
+  return idlz::write_deck({c});
+}
+
+// A gallery figure whose canonical solve is singular: a single node on the
+// minimum-x line cannot hold the mesh.
+const char* const kSingularFigure = "fig03a";
+
+TEST(ServeIdlzCacheTest, EnvelopesMatchACacheOffReplay) {
+  // Every deck class twice over, so the second round meets a warm cache:
+  // gallery solves, the bench strip, a deck that validates with a
+  // warning, a singular solve, and a malformed deck. The cache may change
+  // how fast a job runs, never a byte of what it reports.
+  const std::vector<std::string> decks = {
+      gallery_deck("fig02"),   gallery_deck("kirsch"),
+      example_deck("bench_repeat.b"), warning_deck(),
+      gallery_deck(kSingularFigure),  "    1\nNO SUCH DECK\n",
+  };
+  std::vector<std::string> jobs;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t d = 0; d < decks.size(); ++d) {
+      const std::string id = "r" + std::to_string(round) + "d" +
+                             std::to_string(d);
+      jobs.push_back(job_line(id + "s", "solve", decks[d],
+                              ", \"load_case\": " + std::to_string(round)));
+      jobs.push_back(job_line(id + "i", "idlz", decks[d]));
+    }
+  }
+  serve::ServeOptions warm;
+  warm.threads = 1;
+  serve::ServeOptions cold = warm;
+  cold.factor_cache_capacity = 0;
+  std::vector<std::string> warm_env, cold_env;
+  const serve::ServeSummary s = run_serve(jobs, warm_env, warm);
+  run_serve(jobs, cold_env, cold);
+  EXPECT_GT(s.idlz_hits, 0);
+  EXPECT_GT(s.errors, 0);  // the singular and malformed classes
+  ASSERT_EQ(warm_env.size(), jobs.size());
+  ASSERT_EQ(cold_env.size(), jobs.size());
+  bool saw_warning = false;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(strip_elapsed(warm_env[i]), strip_elapsed(cold_env[i])) << i;
+    saw_warning |= warm_env[i].find("W-MESH-009") != std::string::npos;
+  }
+  EXPECT_TRUE(saw_warning) << "the warning deck did not warn";
+}
+
+TEST(ServeIdlzCacheTest, DecksWithAnyDiagnosticAreNeverInserted) {
+  // A warning, a singular solve (an error after a clean idealization) and
+  // a malformed deck: three tries each, every one a cold miss.
+  for (const std::string& deck :
+       {warning_deck(), gallery_deck(kSingularFigure),
+        std::string("    1\nNO SUCH DECK\n")}) {
+    std::vector<std::string> jobs;
+    for (int i = 0; i < 3; ++i) {
+      jobs.push_back(job_line("d" + std::to_string(i), "solve", deck));
+    }
+    serve::ServeOptions opts;
+    opts.threads = 1;
+    std::vector<std::string> envelopes;
+    const serve::ServeSummary s = run_serve(jobs, envelopes, opts);
+    ASSERT_EQ(envelopes.size(), 3u);
+    EXPECT_NE(envelopes[0].find("\"diagnostics\": [{"), std::string::npos)
+        << envelopes[0];
+    EXPECT_EQ(s.idlz_hits, 0) << envelopes[0];
+    EXPECT_EQ(s.idlz_misses, 3) << envelopes[0];
+  }
+}
+
+TEST(ServeIdlzCacheTest, DistinctDeckBytesMissButShareTheFactorization) {
+  // Five decks that differ only in their title card: five misses (the key
+  // is the deck bytes, compared in full), one mesh, so one factorization
+  // and four factor hits. Each job re-reads its deck, so the FORMAT cards
+  // intern after the first parse.
+  std::vector<std::string> jobs;
+  for (int i = 0; i < 5; ++i) {
+    idlz::IdlzCase c = scenarios::strip_case(4, 5, 1);
+    c.title = "TITLE " + std::to_string(i);
+    jobs.push_back(job_line("t" + std::to_string(i), "solve",
+                            idlz::write_deck({c})));
+  }
+  jobs.push_back(jobs.back());  // a byte-identical repeat hits
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  std::vector<std::string> envelopes;
+  const serve::ServeSummary s = run_serve(jobs, envelopes, opts);
+  EXPECT_EQ(s.ok, 6);
+  EXPECT_EQ(s.idlz_misses, 5);
+  EXPECT_EQ(s.idlz_hits, 1);
+  EXPECT_EQ(s.factor_misses, 1);
+  EXPECT_EQ(s.factor_hits, 5);
+  EXPECT_GT(s.format_hits, 0);
+  const std::string bench = s.render_bench_json();
+  EXPECT_NE(bench.find("\"idlz_hits\": 1, \"idlz_misses\": 5"),
+            std::string::npos)
+      << bench;
+  EXPECT_NE(s.render_table().find("idlz cache .. 1 hits / 5 misses"),
+            std::string::npos)
+      << s.render_table();
+}
+
+TEST(ServeIdlzCacheTest, TighterTenantIsRejectedAfterARoomierOneWarmedTheDeck) {
+  // IDLZ bounds a deck's estimated node count by the tenant's max_dofs; a
+  // hit skips that check, so the limit is part of the key. Tenant "tight"
+  // must get the same E-RES-002 after "roomy" warmed the deck as it gets
+  // on a cold session.
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  serve::TenantConfig tight;
+  tight.name = "tight";
+  tight.guard.max_dofs = 20;  // the 4x5 strip numbers 30 nodes
+  opts.tenants.push_back(tight);
+  const std::string roomy_job = solve_job_case("warm", 0, "roomy");
+  const std::string tight_job = solve_job_case("late", 0, "tight");
+  std::vector<std::string> warm_env, cold_env;
+  const serve::ServeSummary s =
+      run_serve({roomy_job, roomy_job, tight_job}, warm_env, opts);
+  run_serve({tight_job}, cold_env, opts);
+  ASSERT_EQ(warm_env.size(), 3u);
+  ASSERT_EQ(cold_env.size(), 1u);
+  EXPECT_EQ(s.idlz_hits, 1);  // the roomy repeat
+  EXPECT_EQ(string_field(warm_env[2], "status"), "rejected") << warm_env[2];
+  EXPECT_NE(warm_env[2].find("E-RES-002"), std::string::npos) << warm_env[2];
+  EXPECT_EQ(diagnostics_of(warm_env[2]), diagnostics_of(cold_env[0]));
+}
+
+TEST(ServeIdlzCacheTest, TimedOutJobsInsertNothing) {
+  // A 1 ms deadline on a deck of eight near-limit data sets: whether it
+  // times out depends on the machine, so the check is conditional. A job
+  // that timed out must leave the cache empty (the follow-up misses); one
+  // that finished clean fills it (the follow-up hits).
+  const std::string deck = idlz::write_deck(std::vector<idlz::IdlzCase>(
+      8, scenarios::strip_case(16, 24, 2)));
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  std::vector<std::string> envelopes;
+  const serve::ServeSummary s =
+      run_serve({job_line("rushed", "idlz", deck, ", \"deadline_ms\": 1"),
+                 job_line("calm", "idlz", deck)},
+                envelopes, opts);
+  ASSERT_EQ(envelopes.size(), 2u);
+  const std::string status = string_field(envelopes[0], "status");
+  ASSERT_TRUE(status == "timeout" || status == "ok") << envelopes[0];
+  EXPECT_EQ(s.idlz_hits, status == "ok" ? 1 : 0) << envelopes[0];
+  EXPECT_EQ(string_field(envelopes[1], "status"), "ok");
+}
+
+TEST(ServeIdlzCacheTest, FaultArmedJobsNeitherReadNorFillTheCache) {
+  if (!util::kFaultInjectionEnabled) {
+    GTEST_SKIP() << "build lacks -DFEIO_FAULT_INJECTION=ON";
+  }
+  // "armed" arms a site its pipeline never reaches, so it finishes clean
+  // and still must not fill; "shaped" faults inside IDLZ after "clean"
+  // warmed the deck, and must fault exactly as a cold run does.
+  const std::string deck = small_idlz_deck();
+  const std::vector<std::string> jobs = {
+      job_line("armed", "solve", deck, ", \"fault\": \"ospl.labels\""),
+      job_line("clean", "solve", deck),
+      job_line("shaped", "solve", deck, ", \"fault\": \"idlz.shape\""),
+      job_line("again", "solve", deck),
+  };
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  std::vector<std::string> envelopes;
+  const serve::ServeSummary s = run_serve(jobs, envelopes, opts);
+  ASSERT_EQ(envelopes.size(), 4u);
+  EXPECT_EQ(string_field(envelopes[0], "status"), "ok") << envelopes[0];
+  EXPECT_EQ(string_field(envelopes[2], "status"), "faulted") << envelopes[2];
+  EXPECT_NE(envelopes[2].find("E-RES-006"), std::string::npos);
+  EXPECT_EQ(s.idlz_misses, 1);  // "clean": "armed" filled nothing
+  EXPECT_EQ(s.idlz_hits, 1);    // "again"
+}
+
+TEST(ServeIdlzCacheTest, FactorCacheCapacityZeroDisablesIt) {
+  util::MetricsRegistry metrics;
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  opts.factor_cache_capacity = 0;
+  opts.metrics = &metrics;
+  std::vector<std::string> envelopes;
+  const serve::ServeSummary s =
+      run_serve({solve_job("a"), solve_job("a"), idlz_job("b")}, envelopes,
+                opts);
+  EXPECT_EQ(s.ok, 3);
+  EXPECT_EQ(s.idlz_hits, 0);
+  EXPECT_EQ(s.idlz_misses, 0);
+  // Disabled: the cache is not even looked up.
+  const util::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.count("cache.idlz.hits"), 0u);
+  EXPECT_EQ(snap.counters.count("cache.idlz.misses"), 0u);
+  EXPECT_EQ(snap.counters.at("idlz.cases_run"), 3);  // every job idealized
+  EXPECT_NE(s.render_table().find("idlz cache .. disabled"),
+            std::string::npos);
 }
 
 }  // namespace

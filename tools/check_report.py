@@ -39,12 +39,14 @@ BENCH_KEYS = {
 
 # Additive extensions of feio.bench.serve/1 (docs/ROBUSTNESS.md): the cache
 # totals object (with enabled flags — a disabled cache must report zero
-# traffic), the per-tenant array, each rolling-window object (with per-window
+# traffic; the idlz_* idealization-cache totals are switched with the
+# factor cache), the per-tenant array, each rolling-window object (with per-window
 # tenant shares), and the optional --ablate-caches block.
 SERVE_CACHE_KEYS = ("format_enabled", "format_hits", "format_misses",
                     "format_hit_rate", "factor_enabled", "factor_hits",
                     "factor_misses", "factor_load_reuses",
-                    "factor_ttl_evictions", "factor_hit_rate")
+                    "factor_ttl_evictions", "factor_hit_rate", "idlz_hits",
+                    "idlz_misses")
 
 # Per-case keys of the feio.bench.solver/3 ordering x threads ablation
 # payload (docs/BENCHMARKS.md). /3 dropped /2's storage axis (the
@@ -162,14 +164,20 @@ def check_serve_extensions(path, doc):
             busy = (cache[f"{side}_hits"] + cache[f"{side}_misses"]
                     + cache[f"{side}_hit_rate"])
             if side == "factor":
+                # The idealization cache is switched with the factor cache.
                 busy += cache["factor_load_reuses"]
                 busy += cache["factor_ttl_evictions"]
+                busy += cache["idlz_hits"] + cache["idlz_misses"]
             if busy != 0:
                 fail(f"{path}: serve {side} cache is disabled but reports "
                      "non-zero traffic")
     if cache["factor_load_reuses"] > cache["factor_hits"]:
         fail(f"{path}: factor_load_reuses={cache['factor_load_reuses']} "
              f"exceeds factor_hits={cache['factor_hits']}")
+    if cache["idlz_hits"] + cache["idlz_misses"] > doc["jobs"]:
+        fail(f"{path}: idlz cache lookups {cache['idlz_hits']} + "
+             f"{cache['idlz_misses']} exceed jobs={doc['jobs']} (at most "
+             "one lookup per job)")
     tenants = doc["tenants"]
     if not isinstance(tenants, list):
         fail(f"{path}: serve 'tenants' is not a list")

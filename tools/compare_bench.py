@@ -10,6 +10,10 @@ usage:
 BASE and NEW are feio.report/1 documents of kind `bench` with a `cases`
 array (BENCH_pipeline.json, BENCH_solver.json). Cases are matched by
 `name`; cases present in only one document are listed, not compared.
+Where a case records the run-to-run spread of a timing (`serial_spread`
+for `serial_ms`, `parallel_spread` for `parallel_ms`: (max - min) / min
+over the cell's repetitions), the timing's row shows both documents'
+spreads, so a ratio can be read against the noise of the runs behind it.
 
 Timings taken on different core counts do not compare, so the tool refuses
 (exit 2) when the documents' `hardware_threads` differ or either lacks it,
@@ -24,9 +28,21 @@ class Refused(Exception):
     pass
 
 
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def numeric_fields(case):
+    """Numeric fields, less the spreads (shown beside their timings)."""
     return {k: v for k, v in case.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+            if is_number(v) and not k.endswith("_spread")}
+
+
+def spread_cell(case, field):
+    """The recorded spread of timing `field` as a percentage, or '-'."""
+    spread = case.get(field[:-len("_ms")] + "_spread") \
+        if field.endswith("_ms") else None
+    return f"{100 * spread:.1f}%" if is_number(spread) else "-"
 
 
 def compare(base, new):
@@ -51,7 +67,7 @@ def compare(base, new):
     base_cases = {c["name"]: c for c in base["cases"]}
     new_cases = {c["name"]: c for c in new["cases"]}
     lines.append(f"{'case':<40} {'field':<16} {'base':>12} {'new':>12} "
-                 f"{'new/base':>9}")
+                 f"{'new/base':>9} {'base±':>8} {'new±':>8}")
     for name, nc in new_cases.items():
         bc = base_cases.get(name)
         if bc is None:
@@ -63,7 +79,8 @@ def compare(base, new):
             bv = bf[field]
             ratio = f"{nv / bv:9.3f}" if bv else f"{'-':>9}"
             lines.append(f"{name:<40} {field:<16} {bv:>12.6g} {nv:>12.6g} "
-                         f"{ratio}")
+                         f"{ratio} {spread_cell(bc, field):>8} "
+                         f"{spread_cell(nc, field):>8}")
     for name in base_cases:
         if name not in new_cases:
             lines.append(f"only in BASE: {name}")
@@ -82,14 +99,18 @@ def self_test():
                     "parallel_ms": 8.0, "nodes": 7, "identical": True},
                    {"name": "shape/strip40x60", "serial_ms": 8.0}])
     new = doc(4, [{"name": "batch/4decks", "serial_ms": 8.0,
-                   "parallel_ms": 4.0, "nodes": 7, "identical": True},
+                   "parallel_ms": 4.0, "nodes": 7, "identical": True,
+                   "serial_spread": 0.125, "parallel_spread": 0.5},
                   {"name": "contours/strip40x60", "serial_ms": 3.0}])
     lines = compare(base, new)
     rows = [ln.split() for ln in lines[2:]]
-    assert ["batch/4decks", "serial_ms", "16", "8", "0.500"] in rows, lines
-    assert ["batch/4decks", "parallel_ms", "8", "4", "0.500"] in rows, lines
-    # Equal counts and non-numeric fields are not listed.
-    assert not any(r[1] in ("identical", "nodes") for r in rows), lines
+    assert ["batch/4decks", "serial_ms", "16", "8", "0.500", "-",
+            "12.5%"] in rows, lines
+    assert ["batch/4decks", "parallel_ms", "8", "4", "0.500", "-",
+            "50.0%"] in rows, lines
+    # Equal counts, non-numeric fields and spreads are not listed as rows.
+    assert not any(r[1] in ("identical", "nodes", "serial_spread",
+                            "parallel_spread") for r in rows), lines
     assert "only in BASE: shape/strip40x60" in lines, lines
     assert "only in NEW: contours/strip40x60" in lines, lines
 
