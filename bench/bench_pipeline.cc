@@ -1,7 +1,6 @@
-// Serial-vs-threaded timing of the three parallelized pipeline stages
-// (IDLZ assembly, shaping, OSPL contour extraction) on the synthetic
-// strip assemblages from scenarios::strip_case, at 1 thread and at every
-// power of two up to the hardware thread count.
+// Timing of the three per-deck pipeline stages (IDLZ assembly, shaping,
+// OSPL contour extraction) on the synthetic strip assemblages from
+// scenarios::strip_case. All three run serially.
 //
 // Artifacts: BENCH_pipeline.json (schema "feio.bench.pipeline/1", the
 // same document `feio bench` writes; see docs/BENCHMARKS.md), then the
@@ -18,7 +17,6 @@
 #include "ospl/contour.h"
 #include "ospl/interval.h"
 #include "scenarios/pipeline_bench.h"
-#include "util/parallel.h"
 
 using namespace feio;
 
@@ -31,45 +29,29 @@ const struct StripSize {
   int k, l, subs;
 } kSizes[] = {{"strip40x60", 40, 60, 6}, {"strip200x300", 200, 300, 20}};
 
-// Pins the process default thread count for the duration of a benchmark.
-class ThreadsGuard {
- public:
-  explicit ThreadsGuard(int n) : saved_(util::default_threads()) {
-    util::set_default_threads(n);
-  }
-  ~ThreadsGuard() { util::set_default_threads(saved_); }
-
- private:
-  int saved_;
-};
-
 void BM_Assemble(benchmark::State& state) {
   const StripSize& size = kSizes[state.range(0)];
   const idlz::IdlzCase c =
       scenarios::strip_case(size.k, size.l, size.subs);
-  ThreadsGuard guard(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     idlz::Assembly a =
         idlz::assemble(c.subdivisions, c.options.limits, c.options.diagonals);
     benchmark::DoNotOptimize(a.mesh.num_elements());
   }
-  state.SetLabel(std::string(size.tag) + " threads=" +
-                 std::to_string(state.range(1)));
+  state.SetLabel(size.tag);
 }
 
 void BM_Shape(benchmark::State& state) {
   const StripSize& size = kSizes[state.range(0)];
   const idlz::IdlzCase c =
       scenarios::strip_case(size.k, size.l, size.subs);
-  ThreadsGuard guard(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     idlz::Assembly a =
         idlz::assemble(c.subdivisions, c.options.limits, c.options.diagonals);
     idlz::shape(c.subdivisions, c.shaping, a, c.options.limits);
     benchmark::DoNotOptimize(a.mesh.num_nodes());
   }
-  state.SetLabel(std::string(size.tag) + " threads=" +
-                 std::to_string(state.range(1)));
+  state.SetLabel(size.tag);
 }
 
 void BM_Contours(benchmark::State& state) {
@@ -90,33 +72,24 @@ void BM_Contours(benchmark::State& state) {
   const double vmax = *std::max_element(values.begin(), values.end());
   const std::vector<double> levels =
       ospl::contour_levels(vmin, vmax, ospl::auto_interval(vmin, vmax));
-  const int threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    const auto segments =
-        ospl::extract_contours(a.mesh, values, levels, threads);
+    const auto segments = ospl::extract_contours(a.mesh, values, levels);
     benchmark::DoNotOptimize(segments.size());
   }
-  state.SetLabel(std::string(size.tag) + " threads=" +
-                 std::to_string(state.range(1)));
+  state.SetLabel(size.tag);
 }
 
 void register_stage_benchmarks() {
-  std::vector<int> thread_counts = {1};
-  for (int t = 2; t <= util::hardware_threads(); t *= 2) {
-    thread_counts.push_back(t);
-  }
   for (int size = 0; size < 2; ++size) {
-    for (int t : thread_counts) {
-      benchmark::RegisterBenchmark("BM_Assemble", BM_Assemble)
-          ->Args({size, t})
-          ->Unit(benchmark::kMillisecond);
-      benchmark::RegisterBenchmark("BM_Shape", BM_Shape)
-          ->Args({size, t})
-          ->Unit(benchmark::kMillisecond);
-      benchmark::RegisterBenchmark("BM_Contours", BM_Contours)
-          ->Args({size, t})
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark("BM_Assemble", BM_Assemble)
+        ->Arg(size)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark("BM_Shape", BM_Shape)
+        ->Arg(size)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark("BM_Contours", BM_Contours)
+        ->Arg(size)
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

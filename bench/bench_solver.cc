@@ -1,5 +1,5 @@
 // The ordering x threads ablation of the FEM hot path: element assembly
-// and blocked envelope LDL^T factorize+solve under none/RCM/Hilbert node
+// and blocked envelope LDL^T factorize+solve under none/RCM node
 // orderings, on IDLZ strips and plate-with-holes meshes.
 //
 // Artifacts: BENCH_solver.json (payload schema "feio.bench.solver/3", the

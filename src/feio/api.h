@@ -5,8 +5,7 @@
 // lint and bench each invented a JSON envelope. This header is the single
 // surface a tool needs:
 //
-//   feio::RunOptions opts;            // threads, tracer, metrics, toggles
-//   opts.threads = 8;
+//   feio::RunOptions opts;            // tracer, metrics, toggles
 //   opts.tracer = &tracer;
 //   auto r = feio::run_idlz(c, sink, opts);
 //

@@ -223,17 +223,6 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
     opts.ablate_caches = true;
     return FlagStatus::kOk;
   }
-  if (matches_flag(a, "--storage")) {
-    const char* value = flag_value(a, "--storage", argc, argv, i);
-    // Accepted and ignored for one release: every solve runs the one
-    // envelope kernel. Bad values still fail, so scripts notice typos.
-    const std::string_view v = value == nullptr ? "" : value;
-    if (v != "auto" && v != "banded" && v != "skyline") {
-      error = "--storage expects auto, banded or skyline";
-      return FlagStatus::kError;
-    }
-    return FlagStatus::kOk;
-  }
   if (matches_flag(a, "--order")) {
     const char* value = flag_value(a, "--order", argc, argv, i);
     const std::string_view v = value == nullptr ? "" : value;
@@ -243,10 +232,8 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
       opts.ordering = OrderingChoice::kNone;
     } else if (v == "rcm") {
       opts.ordering = OrderingChoice::kRcm;
-    } else if (v == "hilbert") {
-      opts.ordering = OrderingChoice::kHilbert;
     } else {
-      error = "--order expects deck, none, rcm or hilbert";
+      error = "--order expects deck, none or rcm";
       return FlagStatus::kError;
     }
     return FlagStatus::kOk;
@@ -264,7 +251,7 @@ RunOptions run_options(const CommonOptions& opts) {
 
 serve::ServeOptions serve_options(const CommonOptions& opts) {
   serve::ServeOptions so;
-  so.threads = opts.threads;
+  so.threads = std::min(opts.threads, util::hardware_threads());
   so.queue_capacity = opts.queue;
   so.default_deadline_ms = opts.deadline_ms;
   if (opts.max_cards >= 0) so.guard.max_deck_cards = opts.max_cards;

@@ -68,11 +68,9 @@ struct CommonOptions {
   long long window_jobs = -1;
   bool ablate_caches = false;
 
-  // ordering override: --order deck|none|rcm|hilbert (kDeckDefault keeps
-  // the deck's own NONUMB option). It feeds the factor-cache key, so
-  // pinning a serve deployment re-keys its factors. --storage
-  // auto|banded|skyline is still parsed (bad values are errors) but
-  // ignored: there is one stiffness storage.
+  // ordering override: --order deck|none|rcm (kDeckDefault keeps the
+  // deck's own NONUMB option). It feeds the factor-cache key, so pinning a
+  // serve deployment re-keys its factors.
   OrderingChoice ordering = OrderingChoice::kDeckDefault;
 
   // Installed process-wide by the front end for the invocation; carried
@@ -105,8 +103,10 @@ bool parse_tenant_spec(const std::string& spec, serve::TenantConfig& out,
 // process default once, and per-deck workers must not race on re-pinning.
 RunOptions run_options(const CommonOptions& opts);
 
-// The ServeOptions for this invocation: queue, deadline, guard overrides,
-// tenant lanes, cache capacities, windowing, observability sinks.
+// The ServeOptions for this invocation: worker count (an explicit --threads
+// is capped at util::hardware_threads(), since the pool starts one OS thread
+// per worker), queue, deadline, guard overrides, tenant lanes, cache
+// capacities, windowing, observability sinks.
 serve::ServeOptions serve_options(const CommonOptions& opts);
 
 // The ListenOptions when --listen was given (listen_address non-empty).

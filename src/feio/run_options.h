@@ -25,17 +25,17 @@ enum class OrderingChoice {
   kDeckDefault,
   kNone,
   kRcm,
-  kHilbert,
 };
 
 // Options applied to one pipeline run. Everything here defaults to "the
 // behavior the two-argument overloads always had", so
 // run_checked(c, sink, RunOptions{}) is exactly run_checked(c, sink).
 struct RunOptions {
-  // Worker threads for the parallel stages: 0 = the process default
-  // (util::default_threads()), >= 1 explicit, < 0 all hardware threads.
-  // Scoped to the call by adjusting the process default; concurrent runs
-  // should pass the same value (the CLI does).
+  // FEM element assembly threads (fem::solve; the IDLZ and OSPL pipelines
+  // are serial): 0 = the process default (util::default_threads()), >= 1
+  // explicit, < 0 all hardware threads. Scoped to the call by adjusting the
+  // process default; concurrent runs should pass the same value (the CLI
+  // does).
   int threads = 0;
 
   // Observability sinks, both optional. Installed (scoped) as the process

@@ -79,7 +79,8 @@ struct ServeOptions {
   // Worker threads for the job pool: 0 = the process default, < 0 = all
   // hardware threads. Each job runs single-threaded on its worker (nested
   // parallelism from a worker is serial by design), so this is the number
-  // of concurrent jobs.
+  // of concurrent jobs. Each worker is one OS thread; the CLI caps an
+  // explicit --threads at util::hardware_threads() (api::serve_options).
   int threads = 0;
 
   // Session-wide admission bound: jobs admitted but not yet finished,

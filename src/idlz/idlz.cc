@@ -12,7 +12,6 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/strings.h"
 #include "util/trace.h"
 
@@ -26,7 +25,6 @@ IdlzResult run_pipeline(const IdlzCase& c, const RunOptions& opts,
                         DiagSink* punch_diags) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
-  util::ScopedThreads threads_scope(opts.threads);
   util::ScopedCancel cancel_scope(opts.cancel);
 
   FEIO_TRACE_SPAN(run_span, "idlz.run");
@@ -71,9 +69,8 @@ IdlzResult run_pipeline(const IdlzCase& c, const RunOptions& opts,
 
   // 4. Optionally renumber the nodes to ensure a narrow bandwidth.
   // opts.ordering can override the deck: kNone forces the pass off, kRcm
-  // and kHilbert force it on with the named scheme; kDeckDefault keeps the
-  // deck's NONUMB flag and scheme (the ordering axis of the solver bench's
-  // ablation rides through here).
+  // forces RCM on; kDeckDefault keeps the deck's NONUMB flag and scheme (the
+  // ordering axis of the solver bench's ablation rides through here).
   bool renumber_nodes = c.options.renumber_nodes;
   NumberingScheme scheme = c.options.scheme;
   switch (opts.ordering) {
@@ -85,10 +82,6 @@ IdlzResult run_pipeline(const IdlzCase& c, const RunOptions& opts,
     case OrderingChoice::kRcm:
       renumber_nodes = true;
       scheme = NumberingScheme::kReverseCuthillMcKee;
-      break;
-    case OrderingChoice::kHilbert:
-      renumber_nodes = true;
-      scheme = NumberingScheme::kHilbert;
       break;
   }
   if (renumber_nodes) {
@@ -201,7 +194,6 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
                                       const RunOptions& opts) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
-  util::ScopedThreads threads_scope(opts.threads);
   util::ScopedCancel cancel_scope(opts.cancel);
   const std::string prefix =
       c.title.empty() ? std::string() : "set '" + c.title + "': ";

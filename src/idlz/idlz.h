@@ -84,8 +84,8 @@ struct IdlzResult {
   std::string element_cards;
 };
 
-// Runs the IDLZ pipeline on one case under the given options (threads,
-// trace/metrics sinks, output toggles — see feio/run_options.h). Throws
+// Runs the IDLZ pipeline on one case under the given options (trace/metrics
+// sinks, ordering, output toggles — see feio/run_options.h). Throws
 // feio::Error on invalid input.
 IdlzResult run(const IdlzCase& c, const RunOptions& opts);
 

@@ -1,7 +1,6 @@
 #include "idlz/renumber.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <numeric>
 
@@ -160,75 +159,6 @@ std::vector<int> cuthill_mckee_permutation(const mesh::TriMesh& mesh,
   return permutation_of(order);
 }
 
-namespace {
-
-// Hilbert d-index of a grid cell (x, y), `bits` levels of recursion — the
-// classic rotate-and-accumulate walk (omega_h hilbert.hpp carries the same
-// idiom). Pure integer arithmetic: two meshes with bitwise-equal
-// coordinates always order identically.
-std::uint64_t hilbert_d(int bits, std::uint32_t x, std::uint32_t y) {
-  std::uint64_t d = 0;
-  for (std::uint32_t s = 1u << (bits - 1); s > 0; s >>= 1) {
-    const std::uint32_t rx = (x & s) != 0 ? 1u : 0u;
-    const std::uint32_t ry = (y & s) != 0 ? 1u : 0u;
-    d += static_cast<std::uint64_t>(s) * s * ((3u * rx) ^ ry);
-    if (ry == 0) {
-      if (rx == 1) {
-        x = s - 1 - x;
-        y = s - 1 - y;
-      }
-      std::swap(x, y);
-    }
-  }
-  return d;
-}
-
-}  // namespace
-
-std::vector<int> hilbert_permutation(const mesh::TriMesh& mesh) {
-  const int n = mesh.num_nodes();
-  std::vector<int> perm(static_cast<size_t>(n));
-  if (n == 0) return perm;
-
-  double min_x = mesh.pos(0).x, max_x = min_x;
-  double min_y = mesh.pos(0).y, max_y = min_y;
-  for (int i = 1; i < n; ++i) {
-    min_x = std::min(min_x, mesh.pos(i).x);
-    max_x = std::max(max_x, mesh.pos(i).x);
-    min_y = std::min(min_y, mesh.pos(i).y);
-    max_y = std::max(max_y, mesh.pos(i).y);
-  }
-  // Degenerate spans (all nodes collinear on an axis) quantize to cell 0 on
-  // that axis; the tie-break below keeps the order deterministic.
-  constexpr int kBits = 16;
-  constexpr double kSide = static_cast<double>((1u << kBits) - 1);
-  const double span_x = max_x - min_x;
-  const double span_y = max_y - min_y;
-
-  std::vector<std::uint64_t> key(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double fx = span_x > 0.0 ? (mesh.pos(i).x - min_x) / span_x : 0.0;
-    const double fy = span_y > 0.0 ? (mesh.pos(i).y - min_y) / span_y : 0.0;
-    const auto qx = static_cast<std::uint32_t>(
-        std::clamp(fx * kSide, 0.0, kSide));
-    const auto qy = static_cast<std::uint32_t>(
-        std::clamp(fy * kSide, 0.0, kSide));
-    key[static_cast<size_t>(i)] = hilbert_d(kBits, qx, qy);
-  }
-
-  std::vector<int> order(static_cast<size_t>(n));  // order[new] = old
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const std::uint64_t ka = key[static_cast<size_t>(a)];
-    const std::uint64_t kb = key[static_cast<size_t>(b)];
-    return ka != kb ? ka < kb : a < b;
-  });
-  for (int nu = 0; nu < n; ++nu) {
-    perm[static_cast<size_t>(order[static_cast<size_t>(nu)])] = nu;
-  }
-  return perm;
-}
-
 RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
   RenumberReport report;
   report.bandwidth_before = mesh::bandwidth(mesh);
@@ -250,19 +180,14 @@ RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
     candidates.push_back(std::move(c));
   };
 
-  if (scheme == NumberingScheme::kHilbert) {
-    add_candidate(NumberingScheme::kHilbert, hilbert_permutation(mesh));
-  } else {
-    // One Cuthill–McKee BFS serves both candidates: RCM is its reverse.
-    std::vector<int> order = cuthill_mckee_order(mesh::EdgeTable(mesh));
-    if (scheme != NumberingScheme::kReverseCuthillMcKee) {
-      add_candidate(NumberingScheme::kCuthillMcKee, permutation_of(order));
-    }
-    if (scheme != NumberingScheme::kCuthillMcKee) {
-      std::reverse(order.begin(), order.end());
-      add_candidate(NumberingScheme::kReverseCuthillMcKee,
-                    permutation_of(order));
-    }
+  // One Cuthill–McKee BFS serves both candidates: RCM is its reverse.
+  std::vector<int> order = cuthill_mckee_order(mesh::EdgeTable(mesh));
+  if (scheme != NumberingScheme::kReverseCuthillMcKee) {
+    add_candidate(NumberingScheme::kCuthillMcKee, permutation_of(order));
+  }
+  if (scheme != NumberingScheme::kCuthillMcKee) {
+    std::reverse(order.begin(), order.end());
+    add_candidate(NumberingScheme::kReverseCuthillMcKee, permutation_of(order));
   }
 
   const Candidate* best = nullptr;

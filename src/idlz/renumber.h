@@ -5,12 +5,6 @@
 // reduction scheme contemporaneous with the paper — plus the reverse
 // ordering (RCM), which never increases and usually reduces the profile.
 // The starting node is chosen by the George–Liu pseudo-peripheral search.
-//
-// A Hilbert space-filling-curve ordering over the node coordinates
-// (omega_h-style) is available as an explicit scheme for the solver
-// ablation bench: it optimizes locality rather than bandwidth, so it is
-// not part of kBest — skyline storage cares about column heights, and the
-// ordering x storage matrix in bench_solver measures the difference.
 #pragma once
 
 #include <vector>
@@ -22,11 +16,6 @@ namespace feio::idlz {
 enum class NumberingScheme {
   kCuthillMcKee,
   kReverseCuthillMcKee,
-  // Hilbert-curve order of the node coordinates (quantized to a 2^16 grid
-  // over the mesh bbox). A locality ordering, not a bandwidth minimizer —
-  // deliberately excluded from kBest; select it explicitly (the bench's
-  // ordering ablation does).
-  kHilbert,
   // Runs both CM and RCM and keeps whichever gives the smaller bandwidth
   // (ties by profile); this is the library default for NONUMB=1.
   kBest,
@@ -53,13 +42,6 @@ RenumberReport renumber(mesh::TriMesh& mesh,
 // The raw permutation (new_index = perm[old_index]) without applying it.
 std::vector<int> cuthill_mckee_permutation(const mesh::TriMesh& mesh,
                                            bool reverse);
-
-// Hilbert space-filling-curve permutation (new_index = perm[old_index]):
-// node coordinates are quantized to a 2^16 x 2^16 grid over the mesh
-// bounding box and sorted by their Hilbert d-index (ties by old index, so
-// the order is deterministic for any input). Purely geometric — ignores
-// element connectivity entirely.
-std::vector<int> hilbert_permutation(const mesh::TriMesh& mesh);
 
 // Pseudo-peripheral node of the component containing `seed` (George–Liu
 // repeated-BFS heuristic). Exposed for tests.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdint>
 
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/fault.h"
-#include "util/parallel.h"
 
 namespace feio::ospl {
 
@@ -49,18 +47,15 @@ void element_contour(const mesh::TriMesh& mesh,
   }
 }
 
-namespace {
-
-// The serial per-element sweep over [begin, end): both the serial path and
-// every parallel chunk run exactly this, so the concatenation of chunk
-// buffers in chunk order is the serial output verbatim.
-void extract_range(const mesh::TriMesh& mesh,
-                   const std::vector<double>& values,
-                   const std::vector<double>& levels, int begin, int end,
-                   std::vector<ContourSegment>& out) {
-  for (int e = begin; e < end; ++e) {
+std::vector<ContourSegment> extract_contours(
+    const mesh::TriMesh& mesh, const std::vector<double>& values,
+    const std::vector<double>& levels) {
+  FEIO_REQUIRE(static_cast<int>(values.size()) == mesh.num_nodes(),
+               "one value per node required");
+  std::vector<ContourSegment> out;
+  for (int e = 0; e < mesh.num_elements(); ++e) {
     // Coarse cancel granularity: one thread-local load per 512 elements.
-    if (((e - begin) & 511) == 0) FEIO_CHECK_CANCEL("ospl.contour.element");
+    if ((e & 511) == 0) FEIO_CHECK_CANCEL("ospl.contour.element");
     FEIO_FAULT("ospl.contour");
     // "The number and size of the contours passing through the element are
     // determined" — skip levels outside the element's value range.
@@ -77,35 +72,6 @@ void extract_range(const mesh::TriMesh& mesh,
       if (level < lo || level > hi) continue;
       element_contour(mesh, values, e, level, out);
     }
-  }
-}
-
-}  // namespace
-
-std::vector<ContourSegment> extract_contours(
-    const mesh::TriMesh& mesh, const std::vector<double>& values,
-    const std::vector<double>& levels, int threads) {
-  FEIO_REQUIRE(static_cast<int>(values.size()) == mesh.num_nodes(),
-               "one value per node required");
-  const int ne = mesh.num_elements();
-  const int chunks = util::chunk_count(ne, threads);
-  std::vector<ContourSegment> out;
-  if (chunks <= 1) {
-    extract_range(mesh, values, levels, 0, ne, out);
-    return out;
-  }
-  std::vector<std::vector<ContourSegment>> parts(
-      static_cast<size_t>(chunks));
-  util::parallel_chunks(
-      ne, chunks, [&](int c, std::int64_t begin, std::int64_t end) {
-        extract_range(mesh, values, levels, static_cast<int>(begin),
-                      static_cast<int>(end), parts[static_cast<size_t>(c)]);
-      });
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  out.reserve(total);
-  for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }

@@ -35,14 +35,10 @@ void element_contour(const mesh::TriMesh& mesh,
                      double level, std::vector<ContourSegment>& out);
 
 // All segments for all levels over the whole mesh, element-major (matching
-// the paper's "steps 2-4 repeated for each element"). Elements are
-// independent, so extraction runs on `threads` threads (0 = the process
-// default, see util/parallel.h) with per-thread segment buffers merged in
-// element order — the output is byte-identical to a serial run for any
-// thread count.
+// the paper's "steps 2-4 repeated for each element").
 std::vector<ContourSegment> extract_contours(
     const mesh::TriMesh& mesh, const std::vector<double>& values,
-    const std::vector<double>& levels, int threads = 0);
+    const std::vector<double>& levels);
 
 // Clips a segment to an axis-aligned window (Liang–Barsky); returns false
 // when entirely outside. End-point edges are preserved only when the end

@@ -63,8 +63,8 @@ struct OsplResult {
   plot::PlotFile plot;
 };
 
-// Runs the full pipeline under the given options (threads, trace/metrics
-// sinks — see feio/run_options.h). Throws feio::Error on size violations
+// Runs the full pipeline under the given options (trace/metrics sinks —
+// see feio/run_options.h). Throws feio::Error on size violations
 // or malformed input (value count mismatch, empty mesh).
 OsplResult run(const OsplCase& c, const RunOptions& opts);
 

@@ -1,9 +1,10 @@
-// The `feio bench` harness: measures IDLZ assembly (serial since its
-// parallel loops lost at every size; kept as the serial reference), the
-// two parallelized stages (IDLZ shaping, OSPL contour extraction) and a
-// multi-deck batch run, serial versus N threads, on synthetic strip
-// assemblages up to the paper's 40 x 60 grid limit and beyond (via
-// idlz::Limits::unlimited()).
+// The `feio bench` harness: measures IDLZ assembly and shaping, OSPL
+// contour extraction and a multi-deck batch run, serial versus N threads,
+// on synthetic strip assemblages up to the paper's 40 x 60 grid limit and
+// beyond (via idlz::Limits::unlimited()). The three per-deck stages are
+// serial (their parallel loops never won) and stay as the serial
+// reference; the batch, which spreads decks over threads, is the one
+// parallel cell.
 //
 // Every measurement also byte-compares the parallel output against the
 // serial output (`identical`), so the perf trajectory doubles as a

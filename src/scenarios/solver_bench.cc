@@ -28,10 +28,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // Cells over these caps are reported as skipped instead of run: a
-// pathological ordering (Hilbert on a long anisotropic domain) pushes the
-// envelope toward n, and timing a hundred-gigabyte or hours-of-flops
-// factor teaches nothing the byte counts don't already say. The flop model
-// is the exact sum of squared column heights.
+// pathological ordering pushes the envelope toward n, and timing a
+// hundred-gigabyte or hours-of-flops factor teaches nothing the byte counts
+// don't already say. The flop model is the exact sum of squared column
+// heights.
 constexpr std::int64_t kStorageBytesCap = std::int64_t{2} << 30;
 constexpr std::int64_t kFlopsCapQuick = 200'000'000;        // ~0.1 s
 constexpr std::int64_t kFlopsCapFull = 25'000'000'000;      // ~15 s
@@ -135,8 +135,7 @@ std::vector<BenchMesh> bench_meshes(bool quick) {
     meshes.push_back({"strip32x312", strip_mesh(32, 312, 8)});
     meshes.push_back({"strip48x400", strip_mesh(48, 400, 8)});
     meshes.push_back({"plate_holes1000", plate_with_holes(1000)});
-    // ~990k dofs: the "up to 10^6" point; the Hilbert cells (envelope
-    // pathological on this anisotropic domain) skip.
+    // ~990k dofs: the "up to 10^6" point.
     meshes.push_back({"plate_holes33000", plate_with_holes(33000)});
   }
   return meshes;
@@ -203,8 +202,6 @@ const char* ordering_name(feio::OrderingChoice o) {
       return "none";
     case feio::OrderingChoice::kRcm:
       return "rcm";
-    case feio::OrderingChoice::kHilbert:
-      return "hilbert";
     case feio::OrderingChoice::kDeckDefault:
       break;
   }
@@ -294,16 +291,13 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
   report.repetitions = quick ? 3 : 5;
 
   const feio::OrderingChoice orderings[] = {feio::OrderingChoice::kNone,
-                                            feio::OrderingChoice::kRcm,
-                                            feio::OrderingChoice::kHilbert};
+                                            feio::OrderingChoice::kRcm};
 
   for (BenchMesh& bm : bench_meshes(quick)) {
     for (const feio::OrderingChoice ordering : orderings) {
       mesh::TriMesh m = bm.mesh;
       if (ordering == feio::OrderingChoice::kRcm) {
         m.renumber_nodes(idlz::cuthill_mckee_permutation(m, /*reverse=*/true));
-      } else if (ordering == feio::OrderingChoice::kHilbert) {
-        m.renumber_nodes(idlz::hilbert_permutation(m));
       }
       const fem::StaticProblem prob = make_problem(m);
       const int n = prob.num_dofs();

@@ -1,7 +1,7 @@
 // The `bench_solver` harness: an ordering x threads ablation of the FEM
 // hot path. For every bench mesh (IDLZ strips plus a plate-with-holes
 // geometry whose webs blow the band up while keeping the envelope thin)
-// and every node ordering (none = generation order, RCM, Hilbert), the
+// and every node ordering (none = generation order, RCM), the
 // harness measures element assembly and envelope factorize+solve, serial
 // versus N threads, and counts the bytes of the envelope factor against
 // the band it replaces. This closes the paper's bandwidth claim (C6): the
@@ -28,7 +28,7 @@ struct SolverBenchCase {
   std::string name;      // e.g. "factor_solve/plate_holes96/rcm"
   std::string stage;     // "assemble" | "factor_solve"
   std::string mesh;      // bench mesh tag
-  std::string ordering;  // "none" | "rcm" | "hilbert"
+  std::string ordering;  // "none" | "rcm"
   int n = 0;               // equations (dofs)
   int half_bandwidth = 0;  // dof half-bandwidth under this ordering
   int node_bw = 0;         // nodal bandwidth under this ordering

@@ -1,6 +1,7 @@
-// Deterministic data parallelism for the embarrassingly parallel pipeline
-// stages (per-element contour extraction, per-subdivision assembly and
-// shaping, per-deck batch runs).
+// Deterministic data parallelism for the two stages that measurably gain
+// from it: FEM element assembly and per-deck batch runs (the CLI's deck
+// batches and `feio bench`'s batch cell). IDLZ and OSPL run each deck
+// serially; their per-stage loops never beat serial.
 //
 // Design rules, in priority order:
 //   1. Determinism. Work is split into a fixed number of *contiguous,

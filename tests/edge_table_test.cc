@@ -363,7 +363,7 @@ TEST(EdgeTableReferenceTest, GalleryMatchesMapBasedPipeline) {
   const idlz::NumberingScheme schemes[] = {
       idlz::NumberingScheme::kCuthillMcKee,
       idlz::NumberingScheme::kReverseCuthillMcKee,
-      idlz::NumberingScheme::kHilbert, idlz::NumberingScheme::kBest};
+      idlz::NumberingScheme::kBest};
   int flipped_cases = 0;
   for (const scenarios::NamedCase& nc : scenarios::all_idealizations()) {
     for (bool renumber : {false, true}) {

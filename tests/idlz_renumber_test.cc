@@ -192,7 +192,6 @@ TEST(PermutationTest, DisconnectedMeshesStayBijective) {
       EXPECT_TRUE(is_bijection(perm))
           << "seed=" << seed << " reverse=" << reverse;
     }
-    EXPECT_TRUE(is_bijection(hilbert_permutation(m))) << "seed=" << seed;
   }
 }
 
@@ -209,33 +208,10 @@ TEST(RenumberTest, DisconnectedRenumberIsValidAndNeverWorse) {
   }
 }
 
-TEST(HilbertTest, DeterministicBijectionThatRestoresLocality) {
-  // Purely geometric: shuffling the numbering does not change coordinates,
-  // so the Hilbert order of a shuffled grid must undo the shuffle's damage
-  // — the profile after reordering lands well under the shuffled one.
-  mesh::TriMesh m = shuffled(grid_mesh(12, 12), 19);
-  const std::vector<int> perm = hilbert_permutation(m);
-  ASSERT_TRUE(is_bijection(perm));
-  EXPECT_EQ(perm, hilbert_permutation(m));  // deterministic
-
-  const long before = mesh::profile(m);
-  m.renumber_nodes(perm);
-  EXPECT_LT(mesh::profile(m), before / 2);
-}
-
-TEST(HilbertTest, SchemeSelectableThroughRenumber) {
-  mesh::TriMesh m = shuffled(grid_mesh(10, 6), 13);
-  const RenumberReport rep = renumber(m, NumberingScheme::kHilbert);
-  ASSERT_TRUE(rep.applied);
-  EXPECT_EQ(rep.used, NumberingScheme::kHilbert);
-  EXPECT_TRUE(is_bijection(rep.permutation));
-  EXPECT_TRUE(mesh::validate(m).ok());
-}
-
 TEST(RenumberTest, OrderingOverrideThroughRunOptions) {
   // The RunOptions ordering override beats the deck: kNone forces the pass
-  // off even when the deck asked for it, and kRcm/kHilbert force the named
-  // scheme on a deck that had renumbering disabled.
+  // off even when the deck asked for it, and kRcm forces RCM on a deck that
+  // had renumbering disabled.
   IdlzCase c = scenarios::fig09_dsrv_hatch();
   c.options.renumber_nodes = true;
 
@@ -250,16 +226,9 @@ TEST(RenumberTest, OrderingOverrideThroughRunOptions) {
   if (r1.renumbering.applied) {
     EXPECT_EQ(r1.renumbering.used, NumberingScheme::kReverseCuthillMcKee);
   }
-  RunOptions hilbert;
-  hilbert.ordering = OrderingChoice::kHilbert;
-  const IdlzResult r2 = run(c, hilbert);
-  if (r2.renumbering.applied) {
-    EXPECT_EQ(r2.renumbering.used, NumberingScheme::kHilbert);
-  }
-  // Whether either scheme improved the deck or not, the pass never makes
-  // the numbering worse than generation order.
+  // Whether RCM improved the deck or not, the pass never makes the
+  // numbering worse than generation order.
   EXPECT_LE(r1.renumbering.bandwidth_after, r1.renumbering.bandwidth_before);
-  EXPECT_LE(r2.renumbering.bandwidth_after, r2.renumbering.bandwidth_before);
 }
 
 TEST(RenumberTest, PipelineNonumbEquivalent) {

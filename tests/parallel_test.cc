@@ -19,7 +19,7 @@
 #include "idlz/listing.h"
 #include "json_check.h"
 #include "ospl/contour.h"
-#include "ospl/interval.h"
+#include "ospl/ospl.h"
 #include "scenarios/pipeline_bench.h"
 #include "util/diag.h"
 
@@ -324,17 +324,20 @@ TEST(ParallelDeterminismTest, ContoursIdenticalAtOneTwoAndEightThreads) {
   ThreadsGuard guard(1);
   const idlz::IdlzCase c = scenarios::strip_case(12, 18, 3);
   const idlz::IdlzResult r = idlz::run(c);
-  const std::vector<double> values = synthetic_field(r.mesh);
-  const double vmin = *std::min_element(values.begin(), values.end());
-  const double vmax = *std::max_element(values.begin(), values.end());
-  const std::vector<double> levels =
-      ospl::contour_levels(vmin, vmax, ospl::auto_interval(vmin, vmax));
-  const auto serial = ospl::extract_contours(r.mesh, values, levels, 1);
-  ASSERT_FALSE(serial.empty());
+  ospl::OsplCase oc;
+  oc.mesh = r.mesh;
+  oc.values = synthetic_field(r.mesh);
+  oc.title1 = "PARALLEL DETERMINISM";
+  RunOptions one;
+  one.threads = 1;
+  RunOptions eight;
+  eight.threads = 8;
+  const ospl::OsplResult serial = ospl::run(oc, one);
+  ASSERT_FALSE(serial.segments.empty());
   expect_segments_identical(
-      serial, ospl::extract_contours(r.mesh, values, levels, 2));
-  expect_segments_identical(
-      serial, ospl::extract_contours(r.mesh, values, levels, 8));
+      serial.segments,
+      ospl::extract_contours(oc.mesh, oc.values, serial.levels));
+  expect_segments_identical(serial.segments, ospl::run(oc, eight).segments);
 }
 
 TEST(ParallelDeterminismTest, IdlzRunIdenticalSerialVsThreaded) {

@@ -22,6 +22,7 @@
 #include "scenarios/scenarios.h"
 #include "util/fault.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 
 using namespace feio;
 
@@ -742,16 +743,14 @@ TEST(ServeCacheTest, FactorTtlPlumbsThroughAndSummarizes) {
 }
 
 TEST(ServeCacheTest, StorageAndOrderFlagsPinEveryJobsRunOptions) {
-  // The shared facade parses --storage/--order (joined and split forms).
-  // --order threads into both RunOptions and ServeOptions, so a pinned
-  // deployment re-keys its factor cache away from an unpinned one;
-  // --storage is accepted and ignored (there is one stiffness storage).
+  // The shared facade parses --order (joined and split forms). It threads
+  // into both RunOptions and ServeOptions, so a pinned deployment re-keys
+  // its factor cache away from an unpinned one.
   feio::api::CommonOptions common;
   std::string error;
-  std::vector<std::string> argv_storage = {"--storage", "skyline",
-                                           "--order=hilbert"};
+  std::vector<std::string> argv_order = {"--order", "none", "--order=rcm"};
   std::vector<char*> argv;
-  for (std::string& a : argv_storage) argv.push_back(a.data());
+  for (std::string& a : argv_order) argv.push_back(a.data());
   const int argc = static_cast<int>(argv.size());
   for (int i = 0; i < argc; ++i) {
     ASSERT_EQ(feio::api::consume_flag(common, argc, argv.data(), i, error),
@@ -759,30 +758,57 @@ TEST(ServeCacheTest, StorageAndOrderFlagsPinEveryJobsRunOptions) {
         << error;
   }
   const RunOptions ro = feio::api::run_options(common);
-  EXPECT_EQ(ro.ordering, OrderingChoice::kHilbert);
+  EXPECT_EQ(ro.ordering, OrderingChoice::kRcm);
   const serve::ServeOptions so = feio::api::serve_options(common);
-  EXPECT_EQ(so.ordering, OrderingChoice::kHilbert);
+  EXPECT_EQ(so.ordering, OrderingChoice::kRcm);
 
-  // Junk values are structured flag errors, not silent defaults.
-  feio::api::CommonOptions bad;
-  std::string junk = "--storage=columnar";
-  char* bad_argv[] = {junk.data()};
-  int j = 0;
-  EXPECT_EQ(feio::api::consume_flag(bad, 1, bad_argv, j, error),
-            feio::api::FlagStatus::kError);
-  EXPECT_NE(error.find("auto, banded or skyline"), std::string::npos);
+  // Junk values, the retired "hilbert" among them, are structured flag
+  // errors, not silent defaults.
+  for (std::string junk : {"--order=hilbert", "--order=columnar"}) {
+    feio::api::CommonOptions bad;
+    char* bad_argv[] = {junk.data()};
+    int j = 0;
+    EXPECT_EQ(feio::api::consume_flag(bad, 1, bad_argv, j, error),
+              feio::api::FlagStatus::kError)
+        << junk;
+    EXPECT_EQ(error, "--order expects deck, none or rcm") << junk;
+  }
 
-  // A session started with --storage still serves correctly: repeats hit
-  // the cache exactly like a session without the flag.
+  // A session pinned by --order still serves correctly: repeats hit the
+  // cache exactly like an unpinned session.
   serve::ServeOptions opts = so;
   opts.threads = 1;
-  opts.ordering = OrderingChoice::kDeckDefault;
   std::vector<std::string> envelopes;
   const serve::ServeSummary s =
       run_serve({solve_job("a"), solve_job("a")}, envelopes, opts);
   EXPECT_EQ(s.ok, 2);
   EXPECT_EQ(s.factor_misses, 1);
   EXPECT_EQ(s.factor_hits, 1);
+}
+
+// The job pool starts one OS thread per worker, so the CLI boundary caps
+// an explicit --threads at the hardware thread count. Only the parsed
+// ServeOptions is inspected: no Session is built at the huge count.
+TEST(ServeCacheTest, ThreadsFlagIsCappedAtHardwareThreads) {
+  for (const char* value : {"999999999", "all", "1"}) {
+    feio::api::CommonOptions common;
+    std::string error;
+    std::string flag = "--threads";
+    std::string count = value;
+    char* argv[] = {flag.data(), count.data()};
+    int i = 0;
+    ASSERT_EQ(feio::api::consume_flag(common, 2, argv, i, error),
+              feio::api::FlagStatus::kOk)
+        << error;
+    const serve::ServeOptions so = feio::api::serve_options(common);
+    EXPECT_LE(so.threads, util::hardware_threads()) << value;
+    EXPECT_GE(so.threads, 0) << value;
+    if (count == "999999999") {
+      EXPECT_EQ(so.threads, util::hardware_threads());
+    } else if (count == "1") {
+      EXPECT_EQ(so.threads, 1);
+    }
+  }
 }
 
 // --- Multi-tenant admission (PR 9) -----------------------------------------

@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "feio/api.h"
+#include "fem/assembly.h"
+#include "fem/material.h"
+#include "fem/solver.h"
 #include "idlz/deck.h"
 #include "idlz/listing.h"
 #include "json_check.h"
@@ -159,17 +162,26 @@ void check_balanced(const std::string& json) {
 }
 
 TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
+  // FEM element assembly is the one intra-job stage that runs on several
+  // threads, so an 8-thread solve spreads parallel.chunk spans over them.
+  const mesh::TriMesh m = idlz::run(big_case()).mesh;
+  fem::StaticProblem prob(m, fem::Analysis::kPlaneStress);
+  prob.set_material(fem::Material::isotropic(30.0e6, 0.30));
+  for (int n = 0; n < m.num_nodes(); ++n) {
+    if (m.pos(n).y < 1e-9) prob.fix(n, true, true);
+  }
+  prob.point_load(m.num_nodes() - 1, {1000.0, -500.0});
   util::Tracer tracer;
   RunOptions opts;
   opts.threads = 8;
   opts.tracer = &tracer;
-  idlz_fingerprint(big_case(), opts);
+  fem::solve(prob, opts);
   const std::string json = tracer.render_json();
   EXPECT_TRUE(json_check::valid(json)) << json;
   check_balanced(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"idlz.run\""), std::string::npos);
-  EXPECT_NE(json.find("\"idlz.assemble\""), std::string::npos);
+  EXPECT_NE(json.find("\"fem.assemble\""), std::string::npos);
+  EXPECT_NE(json.find("\"fem.factorize\""), std::string::npos);
   EXPECT_NE(json.find("\"parallel.chunk\""), std::string::npos);
 }
 

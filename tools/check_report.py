@@ -58,7 +58,7 @@ SOLVER_CASE_KEYS = ("name", "stage", "mesh", "ordering", "n",
                     "half_bandwidth", "node_bw", "band_bytes",
                     "skyline_bytes", "serial_ms", "parallel_ms", "speedup",
                     "identical", "skipped")
-SOLVER_ORDERINGS = ("none", "rcm", "hilbert")
+SOLVER_ORDERINGS = ("none", "rcm")
 SERVE_TENANT_KEYS = ("tenant", "weight", "jobs", "ok", "rejected",
                      "timed_out", "faulted", "errors", "share")
 SERVE_WINDOW_KEYS = ("jobs", "wall_ms", "jobs_per_sec", "p50_ms", "p99_ms",

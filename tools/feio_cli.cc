@@ -25,9 +25,11 @@
 //       summary in BENCH_serve.json (docs/ROBUSTNESS.md)
 //   feio help | --help | -h
 //
-// --threads N runs the parallel pipeline stages (contour extraction,
-// assembly, shaping, batch decks) and the FEM element assembly on N
-// threads; `--threads all` uses every hardware thread. Output is byte-identical to a serial run for any N.
+// --threads N spreads the decks of a batch over N threads and runs the FEM
+// element assembly on N threads; IDLZ and OSPL run each deck serially.
+// `--threads all` uses every hardware thread. Output is byte-identical to a
+// serial run for any N. For serve it sizes the job pool, capped at the
+// hardware thread count.
 //
 // Observability (docs/OBSERVABILITY.md), accepted by every subcommand:
 //   --trace FILE         write a Chrome trace-event JSON of the run
@@ -104,8 +106,7 @@ void print_usage(std::FILE* to) {
                "usage:\n"
                "  feio idlz <deck>... [--out DIR] [--threads N] "
                "[--diag-json FILE]\n"
-               "      [--order deck|none|rcm|hilbert] "
-               "[--storage auto|banded|skyline]\n"
+               "      [--order deck|none|rcm]\n"
                "  feio ospl <deck>... [--out DIR] [--threads N] "
                "[--diag-json FILE]\n"
                "  feio check <deck>... [--ospl] [--json] [--threads N] "
@@ -121,7 +122,7 @@ void print_usage(std::FILE* to) {
                "      [--factor-ttl-ms N]\n"
                "      [--window-jobs N] [--ablate-caches] [--out DIR]\n"
                "      [--max-conns N] [--tenant NAME:weight=W,queue=N,...]\n"
-               "      [--order ...] [--storage ...]\n"
+               "      [--order ...]\n"
                "  feio help\n"
                "observability (every subcommand; see docs/OBSERVABILITY.md):\n"
                "  --trace FILE         Chrome trace-event JSON of this run\n"
@@ -129,7 +130,8 @@ void print_usage(std::FILE* to) {
                "                       fem.factorize and fem.solve spans)\n"
                "  --metrics-json FILE  counters/histograms as feio.report/1"
                " ('-' = stdout)\n"
-               "--threads takes a positive integer or 'all'\n"
+               "--threads takes a positive integer or 'all'; serve caps it\n"
+               "  at the hardware thread count\n"
                "--fault site[:N] injects a fault at the named site (builds\n"
                "  configured with -DFEIO_FAULT_INJECTION=ON only; see\n"
                "  docs/ROBUSTNESS.md for the site registry)\n"
@@ -139,9 +141,7 @@ void print_usage(std::FILE* to) {
                "  the rolling summary windows; --ablate-caches replays the\n"
                "  stream with caches off and adds the speedup to\n"
                "  BENCH_serve.json\n"
-               "--order overrides the deck's renumbering scheme; --storage\n"
-               "  is accepted but ignored for one release (one envelope\n"
-               "  kernel serves every solve)\n"
+               "--order overrides the deck's renumbering scheme\n"
                "--listen ADDR serves concurrent connections on host:port or\n"
                "  unix:path; --max-conns N stops after N connections\n"
                "  (0 = accept forever)\n"
